@@ -32,7 +32,6 @@ from .fbm import (
     volterra_weights,
 )
 from .sde import (
-    CustomDrift,
     DriftSpec,
     FlowPath,
     LinearDrift,

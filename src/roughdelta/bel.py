@@ -19,14 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .frac_core import HurstParam, SampledFunction, big_c_h
-from .fbm import GridSpec, JointPath, PathSeed, sample_joint_batch
-from .sde import (
-    FlowPath,
-    MollifiedDrift,
-    StatePath,
-    euler_solve_batch,
-    flow_derivative_batch,
-)
+from .fbm import GridSpec, JointPath, sample_joint_batch
+from .sde import FlowPath, MollifiedDrift, euler_solve_batch, flow_derivative_batch
 
 __all__ = [
     "WeightFn",
@@ -226,6 +220,44 @@ def config_digest(*parts) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _mc_mean(n_paths: int, batch_size: int, block):
+    """(mean, stderr) of each per-path quantity, computed batch by batch.
+
+    ``block(start, count)`` returns one (count, d_i) array per quantity for
+    paths start .. start+count-1.  Each quantity is reduced over all paths at
+    once, so the batch size cannot change the result.
+    """
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths")
+    samples = None
+    done = 0
+    while done < n_paths:
+        count = min(batch_size, n_paths - done)
+        parts = block(done, count)
+        if samples is None:
+            samples = [np.empty((n_paths, q.shape[1])) for q in parts]
+        for whole, q in zip(samples, parts):
+            whole[done : done + count] = q
+        done += count
+    return [_mean_stderr(whole) for whole in samples]
+
+
+def _bel_block(drift, x0: np.ndarray, payoff, h, a, grid, dW, bh) -> np.ndarray:
+    """Per-path payoff(X_T) * pi, shape (B, d), on a drawn (dW, bh) batch.
+
+    Euler state -> flow -> weight pi, as in estimate_delta; NaN payoffs abort.
+    """
+    d = x0.size
+    x = euler_solve_batch(drift, x0, bh, grid)
+    jac = flow_derivative_batch(drift, x, grid)
+    pi = _weight_batch(h, a, jac, dW, grid)
+    xt = x[:, -1]
+    phi = np.asarray(payoff(xt[:, 0] if d == 1 else xt), dtype=float).reshape(len(xt))
+    if np.any(np.isnan(phi)):
+        raise FloatingPointError("payoff returned NaN")
+    return phi[:, None] * pi
+
+
 def estimate_delta(
     drift: MollifiedDrift,
     x0,
@@ -249,25 +281,13 @@ def estimate_delta(
     value per path; it must be square-integrable under the simulated law
     (NaNs abort).
     """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = x0.size
-    prods = np.empty((n_paths, d))
-    done = 0
-    while done < n_paths:
-        count = min(batch_size, n_paths - done)
-        dW, bh = sample_joint_batch(grid, h, d, master_seed, done, count)
-        x = euler_solve_batch(drift, x0, bh, grid)
-        jac = flow_derivative_batch(drift, x, grid)
-        pi = _weight_batch(h, a, jac, dW, grid)
-        xt = x[:, -1]
-        phi = np.asarray(payoff(xt[:, 0] if d == 1 else xt), dtype=float).reshape(count)
-        if np.any(np.isnan(phi)):
-            raise FloatingPointError("payoff returned NaN")
-        prods[done : done + count] = phi[:, None] * pi
-        done += count
-    mean, stderr = _mean_stderr(prods)
+
+    def block(start, count):
+        dW, bh = sample_joint_batch(grid, h, x0.size, master_seed, start, count)
+        return (_bel_block(drift, x0, payoff, h, a, grid, dW, bh),)
+
+    ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
         grid, h, master_seed, drift, x0.tolist(), payoff_label, a.kind, n_paths
     )

@@ -43,10 +43,12 @@ from .sde import (
     default_epsilon,
     mollify,
 )
-from .bel import PAYOFF_NAMES, WeightFn, estimate_delta, make_payoff
+from .bel import (
+    DEFAULT_BATCH, PAYOFF_NAMES, WeightFn, _bel_block, _mc_mean, estimate_delta, make_payoff
+)
 from .rough_vol import RVConfig, VolMap, sbel_delta
 from .girsanov import girsanov_xi_batch
-from .fd import fd_delta, gaussian_digital_delta, sde_payoff_runner
+from .fd import _central_diffs, _sde_payoff, gaussian_digital_delta
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -227,29 +229,33 @@ def _run_paths(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
 
 
 def _run_delta_sde(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
+    """Weight delta and CRN finite-difference oracle from one draw per batch.
+
+    BEL and both FD sides share each batch's (dW, bh), giving the bits of
+    separate estimate_delta and fd_delta(sde_payoff_runner(...)) runs;
+    bel_fd_gap still combines their stderrs with hypot as if independent.
+    """
     drift = _resolved_drift(cfg, grid, h)
     payoff = make_payoff(cfg.payoff, cfg.strike)
     a = WeightFn(cfg.horizon, cfg.weight_fn)
-    est = estimate_delta(
-        drift, cfg.x0, payoff, h, a, grid, cfg.paths, cfg.seed, payoff_label=cfg.payoff
-    )
-    runner = sde_payoff_runner(drift, payoff, h, grid)
+    x0 = np.array([cfg.x0])
     bump = 0.1 * cfg.horizon**h.h
-    fde = fd_delta(runner, cfg.x0, bump, cfg.paths, cfg.seed)
-    gap = abs(est.mean[0] - fde.value[0])
-    combined = math.hypot(est.stderr[0], fde.stderr[0])
+
+    def block(start, count):
+        dW, bh = sample_joint_batch(grid, h, 1, cfg.seed, start, count)
+        paired = lambda x: _sde_payoff(drift, payoff, x, bh, grid)
+        return (
+            _bel_block(drift, x0, payoff, h, a, grid, dW, bh),
+            _central_diffs(paired, x0, bump),
+        )
+
+    (bel_mean, bel_se), (fd_mean, fd_se) = _mc_mean(cfg.paths, DEFAULT_BATCH, block)
+    gap = abs(bel_mean[0] - fd_mean[0])
+    combined = math.hypot(bel_se[0], fd_se[0])
     rows = [
-        _row("delta_bel", 0, est.mean[0], est.stderr[0], est.n_paths),
-        _row("delta_fd", 0, fde.value[0], fde.stderr[0], fde.n_paths),
-        _row(
-            "bel_fd_gap",
-            0,
-            gap,
-            combined,
-            cfg.paths,
-            target=0.0,
-            tol=3.0 * combined,
-        ),
+        _row("delta_bel", 0, bel_mean[0], bel_se[0], cfg.paths),
+        _row("delta_fd", 0, fd_mean[0], fd_se[0], cfg.paths),
+        _row("bel_fd_gap", 0, gap, combined, cfg.paths, target=0.0, tol=3.0 * combined),
     ]
     _write_rows(cfg.out, rows)
     return 0

@@ -98,10 +98,6 @@ class JointPath:
     h: HurstParam
 
 
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 @lru_cache(maxsize=16)
 def _weights_cached(h: float, n_steps: int, horizon: float) -> np.ndarray:
     return _volterra_weights_impl(h, n_steps, horizon)
@@ -125,7 +121,7 @@ def _volterra_weights_impl(h: float, n: int, T: float) -> np.ndarray:
     dt = T / n
     t = np.arange(n + 1) * dt
     W = np.zeros((n + 1, n))
-    xg, wg = _gauss_legendre(12)
+    xg, wg = np.polynomial.legendre.leggauss(12)
     xj0, wj0 = special.roots_jacobi(16, 0.0, 2 * h - 1.0)
     xjl, wjl = special.roots_jacobi(24, 2 * h - 1.0, 0.0)
     s0 = (xj0 + 1) * 0.5 * dt          # first-cell Jacobi nodes
@@ -220,6 +216,8 @@ class CholeskyFactorizationError(RuntimeError):
 
 @lru_cache(maxsize=8)
 def _cholesky_factor(h: float, n_steps: int, horizon: float) -> tuple:
+    if n_steps > _MAX_CHOLESKY_STEPS:
+        raise ValueError(f"n_steps > {_MAX_CHOLESKY_STEPS} not supported for dense factorization")
     dt = horizon / n_steps
     t = np.arange(1, n_steps + 1) * dt
     tt, ss = np.meshgrid(t, t, indexing="ij")
@@ -249,8 +247,6 @@ def sample_cholesky(grid: GridSpec, h: HurstParam, seed: PathSeed) -> SampledFun
     Distributional reference only: no Wiener increments are produced.  The
     value at t_0 = 0 is exactly 0.
     """
-    if grid.n_steps > _MAX_CHOLESKY_STEPS:
-        raise ValueError(f"n_steps > {_MAX_CHOLESKY_STEPS} not supported for dense factorization")
     L, _ = _cholesky_factor(h.h, grid.n_steps, grid.horizon)
     rng = seed.generator(stream=0)
     z = rng.standard_normal(grid.n_steps)

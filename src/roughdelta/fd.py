@@ -2,8 +2,10 @@
 
 Central differences with the identical random stream on both sides of each
 bump, so the paired per-path differences carry far less variance than
-independent runs.  Closed-form Gaussian references for the zero-drift case
-live here too.
+independent runs.  The CLI's delta-sde mode draws each batch once and runs
+the Malliavin estimator and both bump sides on those paths (the noise-taking
+helpers below); its ``bel_fd_gap`` row still combines the two stderrs with
+``hypot`` as if independent.  Closed-form Gaussian references live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch
 from .sde import MollifiedDrift, euler_solve_batch
-from .bel import _mean_stderr
+from .bel import _mc_mean
 
 __all__ = [
     "FDEstimate",
@@ -61,23 +63,29 @@ def fd_delta(
     """
     if bump <= 0:
         raise ValueError("bump must be positive")
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    diffs = np.empty((n_paths, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = bump
-        done = 0
-        while done < n_paths:
-            count = min(batch_size, n_paths - done)
-            up = np.asarray(model_runner(x + e, master_seed, done, count), dtype=float)
-            dn = np.asarray(model_runner(x - e, master_seed, done, count), dtype=float)
-            diffs[done : done + count, i] = (up - dn) / (2.0 * bump)
-            done += count
-    value, stderr = _mean_stderr(diffs)
+
+    def block(start, count):
+        run = lambda y: model_runner(y, master_seed, start, count)
+        return (_central_diffs(run, x, bump),)
+
+    ((value, stderr),) = _mc_mean(n_paths, batch_size, block)
     return FDEstimate(value=value, stderr=stderr, bump=bump, n_paths=n_paths)
+
+
+def _central_diffs(payoff_at, x: np.ndarray, bump: float) -> np.ndarray:
+    """Per-path [payoff_at(x + bump e_i) - payoff_at(x - bump e_i)] / (2 bump), (B, d).
+
+    payoff_at(y) returns one batch's payoffs from initial state y.
+    """
+    cols = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = bump
+        up = np.asarray(payoff_at(x + e), dtype=float)
+        dn = np.asarray(payoff_at(x - e), dtype=float)
+        cols.append((up - dn) / (2.0 * bump))
+    return np.stack(cols, axis=1)
 
 
 def gaussian_digital_delta(x: float, strike: float, horizon: float, h: HurstParam) -> float:
@@ -105,10 +113,15 @@ def sde_payoff_runner(
     def run(x, master_seed, start, count):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         _, bh = sample_joint_batch(grid, h, x.size, master_seed, start, count)
-        xt = euler_solve_batch(drift, x, bh, grid)[:, -1]
-        return payoff(xt[:, 0] if x.size == 1 else xt)
+        return _sde_payoff(drift, payoff, x, bh, grid)
 
     return run
+
+
+def _sde_payoff(drift, payoff, x: np.ndarray, bh: np.ndarray, grid: GridSpec):
+    """Payoff of the Euler terminal state started at x on a drawn fBm batch bh."""
+    xt = euler_solve_batch(drift, x, bh, grid)[:, -1]
+    return payoff(xt[:, 0] if x.size == 1 else xt)
 
 
 def rv_payoff_runner(base_cfg, payoff, grid: GridSpec) -> Runner:

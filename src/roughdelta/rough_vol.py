@@ -21,7 +21,7 @@ from .sde import MollifiedDrift, euler_solve_batch, flow_derivative_batch
 from .bel import (
     DeltaEstimate,
     WeightFn,
-    _mean_stderr,
+    _mc_mean,
     _weight_batch,
     config_digest,
 )
@@ -173,17 +173,13 @@ def sbel_delta(
     payoff is a function of the terminal pair and must have finite second
     moment under the simulated law.
     """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
     t = grid.times
-    prods = np.empty((n_paths, 2))
-    done = 0
-    while done < n_paths:
-        count = min(batch_size, n_paths - done)
+    n = grid.n_steps
+
+    def block(start, count):
         s, sigma, k2, dsig, dWp, dWf, _ = _simulate_batch(
-            cfg, grid, master_seed, done, count
+            cfg, grid, master_seed, start, count
         )
-        n = grid.n_steps
         ginv = 1.0 / (s[:, :n] * cfg.g(sigma[:, :n]))
         if not np.all(np.isfinite(ginv)):
             raise FloatingPointError("division guard tripped: S g(sigma) not positive")
@@ -194,10 +190,9 @@ def sbel_delta(
         phi = np.asarray(payoff(s[:, -1], sigma[:, -1]), dtype=float).reshape(count)
         if np.any(np.isnan(phi)):
             raise FloatingPointError("payoff returned NaN")
-        prods[done : done + count, 0] = phi * w1
-        prods[done : done + count, 1] = phi * (w2a + w2b)
-        done += count
-    mean, stderr = _mean_stderr(prods)
+        return (np.stack([phi * w1, phi * (w2a + w2b)], axis=1),)
+
+    ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
         grid, cfg.h, master_seed, cfg.mu, cfg.g, cfg.x1, cfg.x2, payoff_label, a.kind, n_paths
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -23,7 +22,6 @@ __all__ = [
     "LinearDrift",
     "RegimeSwitchDrift",
     "RegimeSwitchOUDrift",
-    "CustomDrift",
     "MollifiedDrift",
     "StatePath",
     "FlowPath",
@@ -38,8 +36,8 @@ __all__ = [
 class DriftSpec:
     """Base drift field b(t, x); subclasses define the actual shape.
 
-    `bound` is the sup norm of the field (inf when unbounded), `l1_bound` the
-    space-L1, time-sup norm; both are carried as metadata.
+    `bound` is the sup norm of the field (inf when unbounded), carried as
+    metadata.
     """
 
     def value(self, t, x):
@@ -50,15 +48,8 @@ class DriftSpec:
         raise NotImplementedError
 
     @property
-    def l1_bound(self) -> float:
-        return math.inf
-
-    @property
     def smooth(self) -> bool:
         return False
-
-    def label(self) -> str:
-        return type(self).__name__
 
 
 @dataclass(frozen=True)
@@ -71,10 +62,6 @@ class ZeroDrift(DriftSpec):
 
     @property
     def bound(self) -> float:
-        return 0.0
-
-    @property
-    def l1_bound(self) -> float:
         return 0.0
 
     @property
@@ -141,29 +128,6 @@ class RegimeSwitchOUDrift(DriftSpec):
     @property
     def bound(self) -> float:
         return math.inf  # linear growth; bounded only on compacts
-
-
-@dataclass(frozen=True)
-class CustomDrift(DriftSpec):
-    """User-supplied smooth field with an analytic spatial derivative."""
-
-    fn: Callable
-    dfn: Callable
-    sup_bound: float = math.inf
-
-    def value(self, t, x):
-        return np.asarray(self.fn(t, np.asarray(x, dtype=float)), dtype=float)
-
-    def derivative(self, t, x):
-        return np.asarray(self.dfn(t, np.asarray(x, dtype=float)), dtype=float)
-
-    @property
-    def bound(self) -> float:
-        return self.sup_bound
-
-    @property
-    def smooth(self) -> bool:
-        return True
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -292,9 +256,9 @@ def euler_solve_batch(
 def flow_derivative(drift: MollifiedDrift, state: StatePath) -> FlowPath:
     """First-variation flow J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I.
 
-    For one-dimensional states every factor (1 + Db dt) must stay positive;
-    a non-positive factor aborts, since the downstream weight assumes an
-    orientation-preserving flow.
+    The flow is diagonal, so every component's factor (1 + Db dt) must stay
+    positive; a non-positive factor aborts, naming the component, since the
+    downstream weight assumes an orientation-preserving flow.
     """
     jac = flow_derivative_batch(drift, state.x[None], state.driver.grid)[0]
     return FlowPath(jac=jac)
@@ -304,17 +268,18 @@ def flow_derivative_batch(
     drift: MollifiedDrift, x: np.ndarray, grid: GridSpec
 ) -> np.ndarray:
     """Vectorized diagonal flow over a batch of states, shape (B, n+1, d)."""
-    B, n1, d = x.shape
     dt = grid.dt
     t = grid.times
     jac = np.empty_like(x)
     jac[:, 0] = 1.0
-    for k in range(n1 - 1):
+    for k in range(x.shape[1] - 1):
         db = drift.derivative(t[k], x[:, k])
         factor = 1.0 + db * dt
-        if d == 1 and np.any(factor <= 0.0):
+        bad = np.any(factor <= 0.0, axis=0)
+        if np.any(bad):
             raise FloatingPointError(
-                f"flow factor non-positive at step {k}; decrease dt or epsilon"
+                f"flow factor non-positive at step {k} in component"
+                f" {int(np.argmax(bad))}; decrease dt or epsilon"
             )
         jac[:, k + 1] = jac[:, k] * factor
     return jac

@@ -1,9 +1,16 @@
 """Unit tests for the command-line surface: config parsing, modes, CSV output."""
 
 import csv
+import math
 
 import pytest
 
+from roughdelta import cli
+from roughdelta.bel import WeightFn, estimate_delta, make_payoff
+from roughdelta.fbm import GridSpec
+from roughdelta.fd import fd_delta, sde_payoff_runner
+from roughdelta.frac_core import HurstParam
+from roughdelta.sde import mollify
 from roughdelta.cli import (
     RunConfig,
     main,
@@ -75,6 +82,41 @@ class TestModes:
         assert abs(est - 1.0) <= 3 * se
         assert byq["bel_fd_gap"]["pass"] == "True"
         assert (tmp_path / "r.csv.config").exists()
+
+    @pytest.mark.parametrize("batch", [300, 1000])
+    def test_delta_sde_one_pass_matches_separate_runs(self, tmp_path, monkeypatch, batch):
+        sample = cli.sample_joint_batch
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_joint_batch", counting)
+        monkeypatch.setattr(cli, "DEFAULT_BATCH", batch)
+        out = tmp_path / "r.csv"
+        cfg = RunConfig(
+            mode="delta-sde", steps=32, paths=1000, seed=4, drift="regime:1,-1,0",
+            payoff="digital", strike=0.2, x0=0.1, out=str(out),
+        )
+        assert run(cfg) == 0
+        assert len(calls) == math.ceil(1000 / batch)
+        byq = {r["quantity"]: r for r in _read_rows(out)}
+
+        h = HurstParam(0.1)
+        grid = GridSpec(1.0, 32)
+        drift = mollify(parse_drift("regime:1,-1,0"), cfg.epsilon)
+        payoff = make_payoff("digital", 0.2)
+        est = estimate_delta(
+            drift, 0.1, payoff, h, WeightFn(1.0), grid, 1000, 4, batch_size=batch
+        )
+        runner = sde_payoff_runner(drift, payoff, h, grid)
+        fde = fd_delta(runner, 0.1, 0.1, 1000, 4, batch_size=batch)
+        assert float(byq["delta_bel"]["estimate"]) == est.mean[0]
+        assert float(byq["delta_bel"]["stderr"]) == est.stderr[0]
+        assert float(byq["delta_fd"]["estimate"]) == fde.value[0]
+        assert float(byq["delta_fd"]["stderr"]) == fde.stderr[0]
+        assert fde.stderr[0] > 0.0
 
     def test_resolved_config_round_trips(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -115,6 +115,10 @@ class TestCholeskySampler:
         with pytest.raises(ValueError):
             sample_cholesky(GridSpec(1.0, 5000), H01, PathSeed(0, 0))
 
+    def test_batch_sampler_size_guard(self):
+        with pytest.raises(ValueError, match="not supported"):
+            sample_cholesky_batch(GridSpec(1.0, 5000), H01, 0, 0, 1)
+
 
 class TestWienerBatch:
     def test_moments(self):

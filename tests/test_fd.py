@@ -10,7 +10,7 @@ from roughdelta.bel import make_payoff
 from roughdelta.fbm import GridSpec
 from roughdelta.fd import fd_delta, gaussian_digital_delta, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
-from roughdelta.sde import ZeroDrift, mollify
+from roughdelta.sde import RegimeSwitchDrift, ZeroDrift, mollify
 
 H01 = HurstParam(0.1)
 
@@ -69,3 +69,15 @@ class TestFDDelta:
         runner = lambda x, seed, start, count: np.full(count, x[0] + 3.0 * x[1])
         est = fd_delta(runner, np.array([1.0, 2.0]), 0.01, 50, 0)
         np.testing.assert_allclose(est.value, [1.0, 3.0], rtol=1e-9)
+
+    def test_batch_size_does_not_change_result(self):
+        grid = GridSpec(1.0, 64)
+        m = mollify(RegimeSwitchDrift(1.0, -1.0), 0.05)
+        runner = sde_payoff_runner(m, make_payoff("call", 0.1), H01, grid)
+        e1, *rest = [
+            fd_delta(runner, 0.0, 0.05, 3000, 7, batch_size=b) for b in (500, 1024, 3000)
+        ]
+        assert e1.stderr[0] > 0.0
+        for e in rest:
+            np.testing.assert_array_equal(e.value, e1.value)
+            np.testing.assert_array_equal(e.stderr, e1.stderr)

@@ -117,3 +117,15 @@ class TestSbelDelta:
         e1 = sbel_delta(cfg, lambda s, sig: s, a, g, 4000, 3, **kw)
         e2 = sbel_delta(cfg, lambda s, sig: s, a, g, 4000, 3, **kw)
         np.testing.assert_array_equal(e1.mean, e2.mean)
+
+    def test_batch_size_does_not_change_result(self):
+        cfg = _cfg(gamma=0.3)
+        a = WeightFn(1.0)
+        g = GridSpec(1.0, 64)
+        e1, *rest = [
+            sbel_delta(cfg, lambda s, sig: s, a, g, 3000, 3, batch_size=b)
+            for b in (500, 1024, 3000)
+        ]
+        for e in rest:
+            np.testing.assert_array_equal(e.mean, e1.mean)
+            np.testing.assert_array_equal(e.stderr, e1.stderr)

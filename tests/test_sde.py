@@ -157,6 +157,18 @@ class TestFlow:
         with pytest.raises(FloatingPointError):
             flow_derivative_batch(m, x, grid)
 
+    def test_positivity_guard_per_component(self):
+        # only component 1 sits in the fast-reverting regime, so only its factor flips
+        grid = GridSpec(1.0, 4)
+        m = mollify(RegimeSwitchOUDrift(50.0, 0.1, 0.0, 0.0), 0.05)
+        x = np.empty((3, 5, 2))
+        x[..., 0] = -1.0
+        x[..., 1] = 1.0
+        with pytest.raises(FloatingPointError, match="step 0 in component 1"):
+            flow_derivative_batch(m, x, grid)
+        jac = flow_derivative_batch(m, x[..., :1], grid)
+        assert np.all(jac > 0.0)
+
     def test_matrices_view(self):
         grid = GridSpec(1.0, 8)
         path = sample_joint_path(grid, H01, 2, PathSeed(2, 0))
