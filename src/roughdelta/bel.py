@@ -5,8 +5,8 @@ E[payoff(X_T) * pi] where pi is a stochastic-integral weight built from the
 first-variation flow and the underlying Wiener increments; no derivative of
 the payoff is required.  The double time integral in the weight is collapsed
 by exchanging the integration order (valid because the integrand at time s
-only involves the flow up to s), so each path costs one deterministic O(N^2)
-pass plus one O(N) Ito sum.
+only involves the flow up to s), so each path costs one deterministic
+O(N log N) pass (an FFT causal convolution) plus one O(N) Ito sum.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_BATCH = 4096
+_PROFILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,12 @@ class WeightFn:
             return np.full_like(s, 1.0 / self.horizon)
         return np.interp(s, self.samples.grid, self.samples.values)
 
+    def digest_parts(self) -> tuple:
+        """config_digest's parts; samples go in as float lists (array reprs round)."""
+        if self.kind == "uniform":
+            return (self.kind, self.horizon)
+        return (self.kind, self.horizon, self.samples.grid.tolist(), self.samples.values.tolist())
+
 
 @dataclass(frozen=True)
 class DeltaEstimate:
@@ -74,50 +81,36 @@ class DeltaEstimate:
     config_digest: str
 
 
-def _profile_matrix(h: HurstParam, a: WeightFn, grid: GridSpec) -> np.ndarray:
-    """Deterministic part of the collapsed weight integrand.
-
-    Returns M of shape (n, n) with M[m-1, k-1] = cint[k-m] * c2[m], where
-    cint[j] is the exact cell integral of u^{-H-1/2} over [t_j, t_{j+1}] and
-    c2[m] = a(ubar) (ubar)^{1/2-H} at the cell midpoint lag ubar = (m-1/2) dt.
-    The profile at s_k is then s_k^{H-1/2} * sum_m M[m-1, k-1] J[m-1].
-    """
-    hv = h.h
-    n = grid.n_steps
-    dt = grid.dt
-    t = grid.times
-    e = 0.5 - hv
-    cint = (t[1:] ** e - t[:-1] ** e) / e  # exact power antiderivative per cell
-    lag = (np.arange(1, n + 1) - 0.5) * dt
-    c2 = a.values(lag) * lag**e
-    M = np.zeros((n, n))
-    m = np.arange(1, n + 1)
-    k = np.arange(1, n + 1)
-    diff = k[None, :] - m[:, None]  # index into cint where m <= k
-    valid = diff >= 0
-    M[valid] = cint[diff[valid]] * np.broadcast_to(c2[:, None], (n, n))[valid]
-    return M
-
-
 def _profile_batch(
     h: HurstParam, a: WeightFn, jac: np.ndarray, grid: GridSpec
 ) -> np.ndarray:
     """Deterministic-in-the-flow integrand g(s_k) of the collapsed weight.
 
     jac has shape (B, n+1, d), the diagonal of each path's flow; returns g of
-    the same shape, with g[:, 0] = 0 since the inner integral is empty.  The
-    flow value attached to midpoint lag (m-1/2) dt is taken at the left
-    neighbouring grid index m-1, which keeps the integrand adapted.
+    the same shape, with g[:, 0] = 0 since the inner integral is empty, and
+    g[:, k] = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] jac[:, m-1]: cint[j] is the
+    exact cell integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] = a(u) u^{1/2-H}
+    at the midpoint lag u = (m-1/2) dt, and the flow is taken at the left index
+    m-1 to keep the integrand adapted.  This causal convolution is done by
+    real FFTs of length 2n, _PROFILE_ROWS rows at a time to bound memory; each
+    row is transformed on its own, so its bits do not depend on the batch.
     """
     n = grid.n_steps
     if jac.shape[1] != n + 1:
         raise ValueError(f"flow has {jac.shape[1]} time points, grid has {n + 1}")
-    M = _profile_matrix(h, a, grid)
     t = grid.times
-    g = np.zeros_like(jac)
+    e = 0.5 - h.h
+    cint = (t[1:] ** e - t[:-1] ** e) / e  # exact power antiderivative per cell
+    lag = (np.arange(1, n + 1) - 0.5) * grid.dt
+    c2 = a.values(lag) * lag**e
     scale = t[1:] ** (h.h - 0.5)
-    # g[:, k] = scale_k * sum_m M[m-1, k-1] jac[:, m-1]
-    g[:, 1:] = np.einsum("mk,bmd->bkd", M, jac[:, :n]) * scale[None, :, None]
+    fc = np.fft.rfft(cint, 2 * n)
+    g = np.zeros_like(jac)
+    for i in range(jac.shape[2]):
+        for r in range(0, len(jac), _PROFILE_ROWS):
+            rows = slice(r, r + _PROFILE_ROWS)
+            f = np.fft.rfft(jac[rows, :n, i] * c2, 2 * n)
+            g[rows, 1:, i] = np.fft.irfft(f * fc, 2 * n)[:, :n] * scale
     return g
 
 
@@ -131,10 +124,14 @@ def _weight_batch(
     """The sensitivity weight pi = C_H sum_{k>=1} g(s_k) dW_k per path, shape (B, d).
 
     Left-point evaluation keeps the Ito sum adapted: g(s_k) multiplies the
-    Wiener increment over [t_k, t_{k+1}].  A non-finite weight aborts, naming
-    the batch row and the first step at which its running sum turns
-    non-finite.
+    Wiener increment over [t_k, t_{k+1}].  A non-finite flow aborts before the
+    convolution spreads it over its row, naming the batch row and step of the
+    first bad entry; a non-finite weight aborts, naming the batch row and the
+    first step at which its running sum turns non-finite.
     """
+    if not np.all(np.isfinite(jac)):
+        row, step, _ = np.argwhere(~np.isfinite(jac))[0]
+        raise FloatingPointError(f"non-finite flow at step {step} in batch row {row}")
     g = _profile_batch(h, a, jac, grid)
     n = grid.n_steps
     pi = big_c_h(h) * np.einsum("bkd,bkd->bd", g[:, 1:n], dW[:, 1:n])
@@ -257,6 +254,6 @@ def estimate_delta(
 
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
-        grid, h, master_seed, drift, x0.tolist(), payoff_label, a.kind, n_paths
+        grid, h, master_seed, drift, x0.tolist(), payoff_label, *a.digest_parts(), n_paths
     )
     return DeltaEstimate(mean=mean, stderr=stderr, n_paths=n_paths, config_digest=digest)

@@ -215,13 +215,13 @@ def sample_cholesky_batch(
 
     Distributional reference only: no Wiener increments are produced, and the
     value at t_0 = 0 is exactly 0.  Path p reads stream 0 of path index
-    start_index + p, but z @ L.T is a BLAS GEMM whose summation order depends
-    on the batch shape, so a path matches across batch splits only to rounding.
+    start_index + p and is the row-wise product L z_p, so it is the same bits
+    in any batch.
     """
     L = _cholesky_factor(h.h, grid.n_steps, grid.horizon)
     z = _normal_block(master_seed, start_index, count, (grid.n_steps,), 0)
     out = np.zeros((count, grid.n_steps + 1))
-    out[:, 1:] = z @ L.T
+    out[:, 1:] = np.einsum("pj,kj->pk", z, L)
     return out
 
 

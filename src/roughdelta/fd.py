@@ -4,8 +4,8 @@ Central differences with the identical random stream on both sides of each
 bump, so the paired per-path differences carry far less variance than
 independent runs.  The CLI's delta-sde mode draws each batch once and runs
 the Malliavin estimator and both bump sides on those paths (the noise-taking
-helpers below); its ``bel_fd_gap`` row still combines the two stderrs with
-``hypot`` as if independent.  Closed-form Gaussian references live here too.
+helpers below); its ``bel_fd_gap`` row takes its stderr from the same paired
+per-path differences.  Closed-form Gaussian references live here too.
 """
 
 from __future__ import annotations

@@ -163,6 +163,7 @@ def sbel_delta(
 
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
-        grid, cfg.h, master_seed, cfg.mu, cfg.g, cfg.x1, cfg.x2, payoff_label, a.kind, n_paths
+        grid, cfg.h, master_seed, cfg.mu, cfg.g, cfg.vol_drift, cfg.x1, cfg.x2,
+        payoff_label, *a.digest_parts(), n_paths,
     )
     return DeltaEstimate(mean=mean, stderr=stderr, n_paths=n_paths, config_digest=digest)

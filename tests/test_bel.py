@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughdelta.bel import (
     WeightFn,
@@ -12,9 +14,40 @@ from roughdelta.bel import (
 )
 from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.frac_core import HurstParam, SampledFunction
-from roughdelta.sde import ZeroDrift, euler_solve_batch, flow_derivative_batch, mollify
+from roughdelta.sde import (
+    RegimeSwitchDrift,
+    ZeroDrift,
+    euler_solve_batch,
+    flow_derivative_batch,
+    mollify,
+)
 
 H01 = HurstParam(0.1)
+
+
+def _linear_weight(horizon=1.0, m=5, c=0.3):
+    """Custom WeightFn a(s) = (1 + c (s - T/2)) / T on m points; unit integral."""
+    x = np.linspace(0.0, horizon, m)
+    return WeightFn(horizon, "custom", SampledFunction(x, (1.0 + c * (x - horizon / 2)) / horizon))
+
+
+def _dense_profile(h, a, jac, grid):
+    """Independent oracle: the profile as a dense Toeplitz-times-diagonal sum.
+
+    M[m-1, k-1] = cint[k-m] c2[m] for m <= k, and g[:, k] = s_k^{H-1/2}
+    sum_m M[m-1, k-1] jac[:, m-1], summed directly in O(N^2).
+    """
+    n = grid.n_steps
+    t = grid.times
+    e = 0.5 - h.h
+    cint = (t[1:] ** e - t[:-1] ** e) / e
+    lag = (np.arange(1, n + 1) - 0.5) * grid.dt
+    c2 = a.values(lag) * lag**e
+    diff = np.arange(n)[None, :] - np.arange(n)[:, None]
+    M = np.where(diff >= 0, cint[np.maximum(diff, 0)], 0.0) * c2[:, None]
+    g = np.zeros_like(jac)
+    g[:, 1:] = np.einsum("mk,bmd->bkd", M, jac[:, :n]) * t[1:, None] ** (h.h - 0.5)
+    return g
 
 
 def _zero_drift_flows(grid, seed, start, count):
@@ -84,6 +117,22 @@ class TestWeightProfile:
             _weight_batch(H01, WeightFn(1.0), jac, dW, other)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 128, 1024])
+    @pytest.mark.parametrize("hv", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("custom", [False, True], ids=["uniform", "custom"])
+    def test_matches_dense_oracle(self, n, hv, custom):
+        grid = GridSpec(1.0, n)
+        h = HurstParam(hv)
+        a = _linear_weight(m=7, c=1.5) if custom else WeightFn(1.0)
+        rng = np.random.default_rng(n)
+        jac = np.exp(np.cumsum(rng.normal(0.0, 0.1, (5, n + 1, 2)), axis=1))
+        g = _profile_batch(h, a, jac, grid)
+        ref = _dense_profile(h, a, jac, grid)
+        assert g[:, 0].tobytes() == np.zeros_like(g[:, 0]).tobytes()
+        row_max = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(g - ref) <= 1e-12 * row_max)
+
+
 class TestMalliavinWeight:
     def test_zero_mean(self):
         # pi is an Ito integral, so its average over paths is near 0
@@ -101,6 +150,17 @@ class TestMalliavinWeight:
         dW[2, 5, 0] = np.inf
         dW[2, 9, 0] = -np.inf
         with pytest.raises(FloatingPointError, match="step 5 in batch row 2"):
+            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
+
+
+    def test_non_finite_flow_names_step_and_row(self):
+        # the convolution would spread a bad flow entry over its whole row, so
+        # the flow is checked first and its first bad entry is named
+        grid = GridSpec(1.0, 16)
+        dW, jac = _zero_drift_flows(grid, 21, 0, 4)
+        jac[2, 7, 0] = np.inf
+        jac[3, 1, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 2"):
             _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
 
 
@@ -153,3 +213,42 @@ class TestEstimateDelta:
         m = mollify(ZeroDrift(), 0.05)
         with pytest.raises(ValueError):
             estimate_delta(m, 0.0, make_payoff("identity"), H01, WeightFn(1.0), grid, 1, 1)
+
+
+_DRIFT = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
+_BASE = dict(
+    drift=_DRIFT, x0=0.1, payoff=make_payoff("identity"), h=H01, a=_linear_weight(),
+    grid=GridSpec(1.0, 4), n_paths=2, master_seed=0, payoff_label="identity",
+)
+_CHANGES = {
+    "drift": st.sampled_from([
+        mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.06),
+        mollify(RegimeSwitchDrift(1.0, -0.5, 0.0), 0.05),
+        mollify(ZeroDrift(), 0.05),
+    ]),
+    "x0": st.floats(-1.0, 1.0).filter(lambda v: v != 0.1),
+    "h": st.floats(0.01, 0.49).filter(lambda v: v != 0.1).map(HurstParam),
+    "a": st.one_of(
+        st.just(WeightFn(1.0)),
+        st.just(_linear_weight(c=0.3 + 1e-12)),  # below repr's printed precision
+        st.floats(-1.9, 1.9).filter(lambda c: c != 0.3).map(lambda c: _linear_weight(c=c)),
+        st.integers(2, 9).filter(lambda m: m != 5).map(lambda m: _linear_weight(m=m)),
+        st.floats(0.5, 2.0).filter(lambda t: t != 1.0).map(lambda t: _linear_weight(horizon=t)),
+    ),
+    "grid": st.one_of(
+        st.integers(2, 8).filter(lambda n: n != 4).map(lambda n: GridSpec(1.0, n)),
+        st.floats(0.5, 2.0).filter(lambda t: t != 1.0).map(lambda t: GridSpec(t, 4)),
+    ),
+    "n_paths": st.integers(3, 6),
+    "master_seed": st.integers(1, 2**64 - 1),
+    "payoff_label": st.text(max_size=8).filter(lambda v: v != "identity"),
+}
+
+
+class TestConfigDigest:
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(sorted(_CHANGES)), data=st.data())
+    def test_every_field_changes_digest(self, field, data):
+        new = data.draw(_CHANGES[field])
+        base = estimate_delta(**_BASE).config_digest
+        assert estimate_delta(**{**_BASE, field: new}).config_digest != base

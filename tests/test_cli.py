@@ -3,12 +3,13 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from roughdelta import cli
-from roughdelta.bel import WeightFn, estimate_delta, make_payoff
-from roughdelta.fbm import GridSpec
-from roughdelta.fd import fd_delta, sde_payoff_runner
+from roughdelta.bel import WeightFn, _bel_block, estimate_delta, make_payoff
+from roughdelta.fbm import GridSpec, sample_joint_batch
+from roughdelta.fd import _central_diffs, _sde_payoff, fd_delta, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
 from roughdelta.sde import mollify
 from roughdelta.cli import (
@@ -117,6 +118,34 @@ class TestModes:
         assert float(byq["delta_fd"]["estimate"]) == fde.value[0]
         assert float(byq["delta_fd"]["stderr"]) == fde.stderr[0]
         assert fde.stderr[0] > 0.0
+
+    @pytest.mark.parametrize("payoff", ["digital", "call"])
+    def test_gap_row_uses_paired_stderr(self, tmp_path, payoff):
+        # BEL and FD share every path, so the gap's stderr is that of the
+        # per-path differences, not hypot of the two stderrs
+        out = tmp_path / "r.csv"
+        cfg = RunConfig(
+            mode="delta-sde", steps=32, paths=2000, seed=4, drift="regime:1,-1,0",
+            payoff=payoff, strike=0.2, x0=0.1, out=str(out),
+        )
+        assert run(cfg) == 0
+        byq = {r["quantity"]: r for r in _read_rows(out)}
+        h = HurstParam(0.1)
+        grid = GridSpec(1.0, 32)
+        drift = mollify(parse_drift("regime:1,-1,0"), cfg.epsilon)
+        pay = make_payoff(payoff, 0.2)
+        x0 = np.array([0.1])
+        dW, bh = sample_joint_batch(grid, h, 1, 4, 0, 2000)
+        bel = _bel_block(drift, x0, pay, h, WeightFn(1.0), grid, dW, bh)[:, 0]
+        fd = _central_diffs(lambda x: _sde_payoff(drift, pay, x, bh, grid), x0, 0.1)[:, 0]
+        diff = bel - fd
+        se = np.std(diff, ddof=1) / math.sqrt(len(diff))
+        gap = byq["bel_fd_gap"]
+        assert float(gap["estimate"]) == pytest.approx(abs(diff.mean()), rel=1e-12)
+        assert float(gap["stderr"]) == pytest.approx(se, rel=1e-12)
+        assert float(gap["tolerance"]) == 3 * float(gap["stderr"])
+        hyp = math.hypot(float(byq["delta_bel"]["stderr"]), float(byq["delta_fd"]["stderr"]))
+        assert abs(se / hyp - 1.0) > 0.01
 
     def test_resolved_config_round_trips(self, tmp_path):
         out = tmp_path / "r.csv"

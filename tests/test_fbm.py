@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughdelta.bel import _PROFILE_ROWS, WeightFn, _weight_batch
 from roughdelta.fbm import (
     GridSpec,
     _normal_block,
@@ -120,8 +121,8 @@ class TestBatchSplit:
     @settings(max_examples=20, deadline=None)
     @given(seed=_SEEDS, start=_STARTS, count=st.integers(1, 6), data=st.data())
     def test_cholesky_splits_to_rounding(self, seed, start, count, data):
-        # z @ L.T is a BLAS GEMM whose summation order depends on the batch
-        # shape, so the Cholesky reference matches across splits to rounding only
+        # the row-wise product L z_p makes the Cholesky reference split-invariant
+        # bit for bit; the test keeps its name so its id stays stable
         cut = data.draw(st.integers(0, count))
         grid = GridSpec(1.0, 16)
         whole = sample_cholesky_batch(grid, H01, seed, start, count)
@@ -129,9 +130,33 @@ class TestBatchSplit:
             sample_cholesky_batch(grid, H01, seed, start, cut),
             sample_cholesky_batch(grid, H01, seed, start + cut, count - cut),
         ]
-        np.testing.assert_allclose(whole, np.concatenate(parts), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
         ones = [sample_cholesky_batch(grid, H01, seed, start + p, 1) for p in range(count)]
-        np.testing.assert_allclose(whole, np.concatenate(ones), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(whole, np.concatenate(ones))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 48),
+        d=st.integers(1, 2),
+        count=st.integers(1, 2 * _PROFILE_ROWS + 8),
+        data=st.data(),
+    )
+    def test_weight_splits_bitwise(self, seed, n, d, count, data):
+        # the FFT profile transforms each row on its own, so the weight of a
+        # path does not depend on the batch it is computed in
+        cut = data.draw(st.integers(0, count))
+        grid = GridSpec(1.0, n)
+        rng = np.random.default_rng(seed)
+        jac = np.exp(np.cumsum(rng.normal(0.0, 0.05, (count, n + 1, d)), axis=1))
+        dW = rng.normal(0.0, grid.dt**0.5, (count, n, d))
+        a = WeightFn(1.0)
+        weight = lambda rows: _weight_batch(H01, a, jac[rows], dW[rows], grid)
+        whole = weight(slice(0, count))
+        halves = np.concatenate([weight(slice(0, cut)), weight(slice(cut, count))])
+        assert whole.tobytes() == halves.tobytes()
+        for p in range(count):
+            assert whole[p].tobytes() == weight(slice(p, p + 1))[0].tobytes()
 
 
 class TestVolterraSampler:
@@ -185,13 +210,12 @@ class TestCholeskySampler:
         assert not rep.degenerate
 
     def test_single_matches_batch(self):
-        # the batch of one starts at zero and matches its row in a larger batch
-        # to rounding (the GEMM is not split-invariant bit for bit)
+        # the batch of one starts at zero and is its row in a larger batch, bit for bit
         grid = GridSpec(1.0, 16)
         one = sample_cholesky_batch(grid, H01, 3, 2, 1)
         many = sample_cholesky_batch(grid, H01, 3, 0, 4)
         assert one[0, 0] == 0.0
-        np.testing.assert_allclose(one[0], many[2], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(one[0], many[2])
 
     def test_size_guard(self):
         # the dense factorization is capped at 4096 steps

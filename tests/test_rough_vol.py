@@ -1,11 +1,15 @@
 """Unit tests for the rough stochastic volatility model and its delta weights."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughdelta.bel import WeightFn
+from roughdelta.frac_core import SampledFunction
 from roughdelta.fbm import GridSpec
 from roughdelta.frac_core import HurstParam
 from roughdelta.rough_vol import RVConfig, VolMap, _simulate_batch, sbel_delta
@@ -134,3 +138,51 @@ class TestSbelDelta:
         for e in rest:
             np.testing.assert_array_equal(e.mean, e1.mean)
             np.testing.assert_array_equal(e.stderr, e1.stderr)
+
+
+_X = np.linspace(0.0, 1.0, 5)
+_BASE_RV = _cfg(gamma=0.3)
+
+
+def _digest(cfg=None, a=None, grid=GridSpec(1.0, 4), n_paths=2, seed=0, label="call"):
+    cfg = cfg or _BASE_RV
+    a = a or WeightFn(1.0)
+    payoff = lambda s, sigma: np.maximum(s - 1.0, 0.0)
+    return sbel_delta(cfg, payoff, a, grid, n_paths, seed, payoff_label=label).config_digest
+
+
+def _model(**kw):
+    return dict(cfg=replace(_BASE_RV, **kw))
+
+
+def _other(strategy, base):
+    return strategy.filter(lambda v: v != base)
+
+
+_RV_CHANGES = {
+    "mu": _other(st.floats(-0.5, 0.5), 0.05).map(lambda v: _model(mu=v)),
+    "alpha": _other(st.floats(0.05, 1.0), 0.2).map(lambda v: _model(g=VolMap(v, 0.3))),
+    "gamma": _other(st.floats(0.0, 1.0), 0.3).map(lambda v: _model(g=VolMap(0.2, v))),
+    "vol_drift": st.sampled_from([
+        mollify(RegimeSwitchDrift(1.0, -1.0), 0.06),
+        mollify(RegimeSwitchDrift(0.5, -1.0), 0.05),
+        mollify(ZeroDrift(), 0.05),
+    ]).map(lambda m: _model(vol_drift=m)),
+    "x1": _other(st.floats(0.1, 5.0), 1.0).map(lambda v: _model(x1=v)),
+    "x2": _other(st.floats(-1.0, 1.0), 0.0).map(lambda v: _model(x2=v)),
+    "h": _other(st.floats(0.01, 0.49), 0.1).map(lambda v: _model(h=HurstParam(v))),
+    "a": st.floats(-1.9, 1.9).map(
+        lambda c: dict(a=WeightFn(1.0, "custom", SampledFunction(_X, 1.0 + c * (_X - 0.5))))
+    ),
+    "grid": _other(st.integers(2, 8), 4).map(lambda n: dict(grid=GridSpec(1.0, n))),
+    "n_paths": st.integers(3, 6).map(lambda n: dict(n_paths=n)),
+    "seed": st.integers(1, 2**64 - 1).map(lambda v: dict(seed=v)),
+    "label": _other(st.text(max_size=8), "call").map(lambda v: dict(label=v)),
+}
+
+
+class TestSbelDigest:
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(sorted(_RV_CHANGES)), data=st.data())
+    def test_every_field_changes_digest(self, field, data):
+        assert _digest(**data.draw(_RV_CHANGES[field])) != _digest()
