@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .frac_core import HurstParam, SampledFunction, big_c_h
-from .fbm import GridSpec, sample_joint_batch
+from .fbm import GridSpec, _causal_conv, sample_joint_batch
 from .sde import MollifiedDrift, euler_solve_batch, flow_derivative_batch
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_BATCH = 4096
-_PROFILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,8 @@ def _profile_batch(
     g[:, k] = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] jac[:, m-1]: cint[j] is the
     exact cell integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] = a(u) u^{1/2-H}
     at the midpoint lag u = (m-1/2) dt, and the flow is taken at the left index
-    m-1 to keep the integrand adapted.  This causal convolution is done by
-    real FFTs of length 2n, _PROFILE_ROWS rows at a time to bound memory; each
-    row is transformed on its own, so its bits do not depend on the batch.
+    m-1 to keep the integrand adapted.  This causal convolution goes through
+    fbm._causal_conv, so the bits of a path's profile do not depend on the batch.
     """
     n = grid.n_steps
     if jac.shape[1] != n + 1:
@@ -107,10 +105,8 @@ def _profile_batch(
     fc = np.fft.rfft(cint, 2 * n)
     g = np.zeros_like(jac)
     for i in range(jac.shape[2]):
-        for r in range(0, len(jac), _PROFILE_ROWS):
-            rows = slice(r, r + _PROFILE_ROWS)
-            f = np.fft.rfft(jac[rows, :n, i] * c2, 2 * n)
-            g[rows, 1:, i] = np.fft.irfft(f * fc, 2 * n)[:, :n] * scale
+        for rows, y in _causal_conv(jac[:, :n, i], c2, fc, n):
+            g[rows, 1:, i] = y * scale
     return g
 
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _MAX_CHOLESKY_STEPS = 4096
+_CONV_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,20 @@ def _normal_block(
         bg.state = state
         rng.standard_normal(shape, out=out[p])
     return out
+
+
+def _causal_conv(rows: np.ndarray, weight: np.ndarray, kernel_rfft: np.ndarray, n: int):
+    """Yield (chunk, y) with y[:, k] = sum_{j<=k} kernel[k-j] weight[j] rows[chunk, j], k < n.
+
+    kernel_rfft is np.fft.rfft(kernel, 2 n): zero padding to 2n makes the
+    circular product causal.  The rows go through real FFTs _CONV_ROWS at a
+    time to bound memory, and each row is transformed on its own, so its bits
+    do not depend on the batch it is in.
+    """
+    for r in range(0, len(rows), _CONV_ROWS):
+        chunk = slice(r, r + _CONV_ROWS)
+        f = np.fft.rfft(rows[chunk] * weight, 2 * n)
+        yield chunk, np.fft.irfft(f * kernel_rfft, 2 * n)[:, :n]
 
 
 @lru_cache(maxsize=16)

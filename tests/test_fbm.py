@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughdelta.bel import _PROFILE_ROWS, WeightFn, _weight_batch
+from roughdelta.bel import WeightFn, _weight_batch
 from roughdelta.fbm import (
+    _CONV_ROWS,
     GridSpec,
     _normal_block,
     covariance_report,
@@ -139,7 +140,7 @@ class TestBatchSplit:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 48),
         d=st.integers(1, 2),
-        count=st.integers(1, 2 * _PROFILE_ROWS + 8),
+        count=st.integers(1, 2 * _CONV_ROWS + 8),
         data=st.data(),
     )
     def test_weight_splits_bitwise(self, seed, n, d, count, data):
