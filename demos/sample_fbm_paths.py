@@ -1,9 +1,10 @@
 """Sample rough fractional paths two ways and compare their statistics.
 
 The Cholesky sampler matches the target covariance exactly (up to Monte-Carlo
-noise) but costs O(N^2) memory per factorization; the Volterra sampler scales
-to long grids and additionally exposes the underlying Wiener increments that
-the sensitivity weights need.
+noise) but costs O(N^2) memory per factorization; the Volterra sampler builds
+each path from its Wiener increments by one FFT convolution in O(N log N)
+time and O(N) memory, so it scales to long grids and also exposes the
+increments that the sensitivity weights need.
 """
 
 import numpy as np

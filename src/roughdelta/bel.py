@@ -37,8 +37,9 @@ DEFAULT_BATCH = 4096
 class WeightFn:
     """Averaging function a on [0, T] with unit integral.
 
-    kind 'uniform' is a = 1/T exactly; 'custom' carries sampled values whose
-    trapezoidal integral must equal 1 within 1e-10.
+    kind 'uniform' is a = 1/T exactly; 'custom' carries sampled values on a
+    grid that spans [0, T], whose trapezoidal integral over [0, T] must equal
+    1 within 1e-10.
     """
 
     horizon: float
@@ -53,7 +54,14 @@ class WeightFn:
         if self.kind == "custom":
             if self.samples is None:
                 raise ValueError("custom weight function needs samples")
-            total = float(np.trapezoid(self.samples.values, self.samples.grid))
+            grid = self.samples.grid
+            if grid[0] > 0 or grid[-1] < self.horizon:
+                raise ValueError(
+                    f"weight function sampled on [{grid[0]}, {grid[-1]}] must cover"
+                    f" [0, {self.horizon}]"
+                )
+            s = np.concatenate(([0.0], grid[(grid > 0) & (grid < self.horizon)], [self.horizon]))
+            total = float(np.trapezoid(self.values(s), s))
             if abs(total - 1.0) > 1e-10:
                 raise ValueError(f"weight function must integrate to 1, got {total}")
 

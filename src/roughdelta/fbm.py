@@ -1,10 +1,12 @@
 """Joint (Wiener, fBm) path sampling via the Volterra kernel.
 
-The sampler draws i.i.d. Wiener increments and builds the fBm path as a
-weighted sum against precomputed integrated-kernel weights, so every path
-carries both the driving Brownian increments and the fractional path they
-generate.  An exact dense-Cholesky sampler over the grid covariance serves as
-a distributional reference, and a covariance report quantifies agreement.
+The sampler draws i.i.d. Wiener increments and builds the fBm path from them
+with the split Molchan-Golosov kernel: one causal FFT convolution, a running
+integral and O(N) corrections of the cells next to the kernel's singularities,
+O(N log N) per path with O(N) precomputed tables.  So every path carries both
+the driving Brownian increments and the fractional path they generate.  An
+exact dense-Cholesky sampler over the grid covariance serves as a
+distributional reference, and a covariance report quantifies agreement.
 
 Randomness is counter-based (Philox): a (master_seed, path_index, stream)
 triple addresses a disjoint counter block, so path generation is reproducible
@@ -21,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .frac_core import HurstParam, cov_rh, _kernel_vec
+from .frac_core import HurstParam, c_h, cov_rh, _kernel_vec
 
 __all__ = [
     "GridSpec",
@@ -101,57 +103,107 @@ def _causal_conv(rows: np.ndarray, weight: np.ndarray, kernel_rfft: np.ndarray, 
         yield chunk, np.fft.irfft(f * kernel_rfft, 2 * n)[:, :n]
 
 
+# Per-step tables of the split sampler; see _split_tables.
+_TABLE = np.dtype(
+    [("lag", float), ("src", float), ("scale", float), ("step", float),
+     ("diag", float), ("col", float, (2,))]
+)
+
+
 @lru_cache(maxsize=16)
-def _weights_cached(h: float, n_steps: int, horizon: float) -> np.ndarray:
-    return _volterra_weights_impl(h, n_steps, horizon)
+def _split_tables(h: float, n: int, T: float) -> np.ndarray:
+    """O(n) tables of bh_k = c_H [t_k^{H-1/2} Y_k + (1/2-H) I_k], one row per step.
 
+    With e = 1/2 - H the Molchan-Golosov kernel splits as
+    K(t, s) = c_H s^e [t^{-e} (t-s)^{-e} + e int_s^t u^{-e-1} (u-s)^{-e} du],
+    so bh(t) = c_H [t^{-e} Y(t) + e int_0^t u^{-e-1} Y(u) du] with the one
+    causal convolution Y(u) = int_0^u (u-s)^{-e} s^e dW_s.  Row k-1 holds:
 
-def _volterra_weights_impl(h: float, n: int, T: float) -> np.ndarray:
-    """Integrated-kernel weight matrix w[k, j], k = 0..n rows, j = 0..n-1.
+    - lag: the exact cell average (1/dt) int u^{-e} du over [(k-1) dt, k dt];
+      Y_k = sum_{j<k} lag[k-1-j] src[j] dW_j, with src[j] = s^e at the
+      midpoint of cell j;
+    - scale: c_H t_k^{-e}; step: c_H e/2 int u^{-e-1} du over cell k, the
+      trapezoid weight of (Y_{k-1} + Y_k) in the running integral I.  The
+      first cell of I has step 0: it sees only dW_0, whose column is set below;
+    - diag, col: O(n) corrections that give the cells next to the two
+      singularities the dense values: diag[k-1] multiplies dW_{k-1} and makes
+      its weight the L2-matched Gauss-Jacobi value sqrt((1/dt) int_cell K^2 ds);
+      col[k-1] multiplies (dW_0, dW_1) and makes the first column L2-matched
+      and the second the 12-point Gauss-Legendre cell average of K.
 
-    Interior cells carry the cell average (1/dt) int_cell K(t_k, s) ds,
-    computed with 12-point Gauss-Legendre on the closed-form kernel.  The two
-    singular cells of each row (s near 0 and s near t_k, where K^2 blows up
-    like s^{2H-1} and (t_k - s)^{2H-1}) instead carry the cell's L2 norm
-    sqrt((1/dt) int_cell K^2 ds), evaluated by Gauss-Jacobi quadrature with
-    the matching weight exponent.  Plain cell averages lose the within-cell
-    variance of the kernel, which for small H concentrates in exactly those
-    two cells (over 30% of the total at H = 0.05, N = 512); the L2-matched
-    ends bring the terminal variance back to within ~0.1% while leaving the
-    off-diagonal covariance errors at coarse lags far below Monte-Carlo
-    resolution.
+    Plain cell averages lose the within-cell variance of the kernel, which for
+    small H concentrates in the two singular cells (over 30% of the total at
+    H = 0.05, N = 512); the L2-matched cells bring the terminal variance back
+    to within ~0.1%.  The second column is the cell with the largest split
+    error (about 1% at H = 0.1); taking it from the dense value keeps every
+    row within 3e-3 relative L2 of the dense weight matrix.
     """
     dt = T / n
     t = np.arange(n + 1) * dt
-    W = np.zeros((n + 1, n))
-    xg, wg = np.polynomial.legendre.leggauss(12)
+    e = 0.5 - h
+    ch = c_h(HurstParam(h))
+    tab = np.zeros(n, _TABLE)
+    lag = (t[1:] ** (1 - e) - t[:-1] ** (1 - e)) / ((1 - e) * dt)
+    src = ((np.arange(n) + 0.5) * dt) ** e
+    scale = ch * t[1:] ** -e
+    step = np.zeros(n)
+    step[1:] = 0.5 * ch * (t[1:-1] ** -e - t[2:] ** -e)
+
+    # dense values of the corrected cells: rows k = 2..n of the first column
+    # and the diagonal, rows k = 3..n of the second column
     xj0, wj0 = special.roots_jacobi(16, 0.0, 2 * h - 1.0)
     xjl, wjl = special.roots_jacobi(24, 2 * h - 1.0, 0.0)
-    s0 = (xj0 + 1) * 0.5 * dt          # first-cell Jacobi nodes
+    xg, wg = np.polynomial.legendre.leggauss(12)
     half = (dt / 2) ** (2 * h)
-    for k in range(1, n + 1):
-        tk = t[k]
-        if k == 1:
-            # the whole row is one doubly-singular cell; its L2 norm is exact
-            W[k, 0] = math.sqrt(tk ** (2 * h) / dt)
-            continue
-        i2 = half * np.sum(wj0 * _kernel_vec(h, tk, s0) ** 2 * s0 ** (1 - 2 * h))
-        W[k, 0] = math.sqrt(i2 / dt)
-        sl = t[k - 1] + (xjl + 1) * 0.5 * dt
-        i2l = half * np.sum(
-            wjl * _kernel_vec(h, tk, sl) ** 2 * (tk - sl) ** (1 - 2 * h)
-        )
-        W[k, k - 1] = math.sqrt(i2l / dt)
-        if k > 2:
-            a = t[1 : k - 1][:, None]
-            nodes = a + (xg[None, :] + 1) * 0.5 * dt
-            W[k, 1 : k - 1] = 0.5 * np.sum(wg[None, :] * _kernel_vec(h, tk, nodes), axis=1)
-    return W
+    tk = t[2:, None]
+    s0 = (xj0 + 1) * 0.5 * dt
+    first = np.sum(wj0 * _kernel_vec(h, tk, s0) ** 2 * s0 ** (1 - 2 * h), axis=1)
+    sl = t[1:-1, None] + (xjl + 1) * 0.5 * dt
+    last = np.sum(wjl * _kernel_vec(h, tk, sl) ** 2 * (tk - sl) ** (1 - 2 * h), axis=1)
+    second = 0.5 * np.sum(wg * _kernel_vec(h, t[3:, None], t[1] + (xg + 1) * 0.5 * dt), axis=1)
+    diag = np.empty(n)
+    diag[0] = math.sqrt(t[1] ** (2 * h) / dt)  # row 1 is one doubly-singular cell
+    diag[1:] = np.sqrt(half * last / dt)
+
+    # subtract what the split gives those cells
+    tab["diag"] = diag - (scale + step) * lag[0] * src
+    pair = np.concatenate(([lag[0]], lag[:-1] + lag[1:]))
+    for j, dense in ((0, np.sqrt(half * first / dt)), (1, second)):
+        k = np.arange(j + 2, n + 1)
+        run = np.cumsum(step[j:] * pair[: n - j])
+        tab["col"][j + 1 :, j] = dense - src[j] * (scale[k - 1] * lag[k - 1 - j] + run[k - 1 - j])
+    tab["lag"], tab["src"], tab["scale"], tab["step"] = lag, src, scale, step
+    tab.flags.writeable = False
+    return tab
 
 
 def volterra_weights(grid: GridSpec, h: HurstParam) -> np.ndarray:
-    """Weight matrix w[k, j] with bh[k] = sum_j w[k, j] dW[j]; cached per config."""
-    return _weights_cached(h.h, grid.n_steps, grid.horizon)
+    """The sampler's O(N) per-step tables (a structured array); cached per config."""
+    return _split_tables(h.h, grid.n_steps, grid.horizon)
+
+
+def _volterra_paths(grid: GridSpec, h: HurstParam, dW: np.ndarray) -> np.ndarray:
+    """fBm paths bh, shape (B, n+1, d), driven by the increments dW, shape (B, n, d).
+
+    Per row: one causal FFT convolution for Y, a cumsum for the running
+    integral, and the O(n) cell corrections, all elementwise along the row.
+    """
+    n = grid.n_steps
+    tab = volterra_weights(grid, h)
+    fk = np.fft.rfft(tab["lag"], 2 * n)
+    bh = np.zeros((len(dW), n + 1, dW.shape[2]))
+    for i in range(dW.shape[2]):
+        x = dW[:, :, i]
+        for rows, y in _causal_conv(x, tab["src"], fk, n):
+            run = np.zeros_like(y)
+            np.add(y[:, :-1], y[:, 1:], out=run[:, 1:])
+            run = np.cumsum(run * tab["step"], axis=1)
+            xr = x[rows]
+            bh[rows, 1:, i] = (
+                tab["scale"] * y + run + tab["diag"] * xr
+                + tab["col"][:, 0] * xr[:, :1] + tab["col"][:, 1] * xr[:, 1:2]
+            )
+    return bh
 
 
 def sample_joint_batch(
@@ -166,19 +218,18 @@ def sample_joint_batch(
     """Joint (Wiener increments, fBm path) samples for consecutive path indices.
 
     Returns (dW, bh) of shapes (count, n, d) and (count, n+1, d), with dW
-    entries ~ N(0, dt), bh[:, 0] = 0 and bh[:, k] = sum_j w[k, j] dW[:, j].
-    Components are independent and share the weight matrix.  Path p is a pure
-    function of (grid, h, d, master_seed, start_index + p, stream): one path
-    is the batch of one, sample_joint_batch(..., start_index=i, count=1).
+    entries ~ N(0, dt), bh[:, 0] = 0 and bh[:, k] the split Volterra sum of
+    dW up to t_k (see _split_tables).  Components are independent and share
+    the tables.  Path p is a pure function of (grid, h, d, master_seed,
+    start_index + p, stream): one path is the batch of one,
+    sample_joint_batch(..., start_index=i, count=1).
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    W = volterra_weights(grid, h)
     n = grid.n_steps
     dW = _normal_block(master_seed, start_index, count, (n, d), stream)
     dW *= math.sqrt(grid.dt)
-    bh = np.einsum("kj,pjd->pkd", W, dW)
-    return dW, bh
+    return dW, _volterra_paths(grid, h, dW)
 
 
 def wiener_increment_batch(
@@ -191,11 +242,15 @@ def wiener_increment_batch(
 
 
 class CholeskyFactorizationError(RuntimeError):
-    """Dense covariance factorization failed; carries the failing pivot index."""
+    """The dense grid covariance did not factorize, even with diagonal jitter."""
 
-    def __init__(self, pivot: int):
-        super().__init__(f"covariance factorization failed at pivot {pivot}")
-        self.pivot = pivot
+    def __init__(self, n_steps: int, h: float):
+        super().__init__(
+            f"fBm covariance with n_steps={n_steps}, h={h} is not numerically"
+            " positive definite, even with 1e-12 diagonal jitter"
+        )
+        self.n_steps = n_steps
+        self.h = h
 
 
 @lru_cache(maxsize=8)
@@ -217,9 +272,7 @@ def _cholesky_factor(h: float, n_steps: int, horizon: float) -> np.ndarray:
         try:
             L = np.linalg.cholesky(R + 1e-12 * np.eye(n_steps))
         except np.linalg.LinAlgError as exc:
-            # LAPACK reports the order of the failing leading minor
-            pivot = int(str(exc).split()[-4]) if any(c.isdigit() for c in str(exc)) else -1
-            raise CholeskyFactorizationError(pivot) from exc
+            raise CholeskyFactorizationError(n_steps, h) from exc
     return L
 
 

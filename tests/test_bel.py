@@ -70,6 +70,21 @@ class TestWeightFn:
         a = WeightFn(1.0, "custom", SampledFunction(g, np.ones_like(g)))
         assert a.values(np.array([0.5]))[0] == 1.0
 
+    def test_custom_must_cover_horizon(self):
+        # np.interp clamps outside the samples, so a = 2 on [0, 0.5] would
+        # integrate to 2 over [0, 1]
+        with pytest.raises(ValueError, match="must cover"):
+            WeightFn(1.0, "custom", SampledFunction([0, 0.5], [2, 2]))
+        with pytest.raises(ValueError, match="must cover"):
+            WeightFn(1.0, "custom", SampledFunction([0.5, 1.0], [2, 2]))
+
+    def test_custom_integral_is_over_horizon(self):
+        # samples beyond the horizon count only up to it
+        a = WeightFn(1.0, "custom", SampledFunction([-1.0, 2.0], [1.0, 1.0]))
+        assert a.values(np.array([0.5]))[0] == 1.0
+        with pytest.raises(ValueError, match="integrate to 1"):
+            WeightFn(1.0, "custom", SampledFunction([0.0, 2.0], [0.5, 0.5]))
+
     def test_custom_needs_samples(self):
         with pytest.raises(ValueError):
             WeightFn(1.0, "custom")

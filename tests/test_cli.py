@@ -2,9 +2,15 @@
 
 import csv
 import math
+import os
+import string
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughdelta import cli
 from roughdelta.bel import WeightFn, _bel_block, estimate_delta, make_payoff
@@ -40,6 +46,36 @@ class TestConfigFile:
         p.write_text("volatility=3\n")
         with pytest.raises(ValueError, match=":1:"):
             parse_config_file(str(p))
+
+
+def _text(alphabet):
+    # values are stripped on parsing and '#' starts a comment, so neither
+    # surrounding blanks nor '#' can round trip
+    return st.text(st.sampled_from(alphabet), max_size=16).map(str.strip)
+
+
+_VALUE = {
+    "int": st.integers(-(2**70), 2**70),
+    "float": st.floats(allow_nan=False),
+    "str": _text(string.ascii_letters + string.digits + ":,.-_/=+ "),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.fixed_dictionaries(
+        {f.name: _VALUE[cli._FIELD_TYPES[f.name]] for f in fields(RunConfig) if f.name != "out"}
+    ),
+    name=_text(string.ascii_letters + string.digits + "-_. ").filter(bool),
+)
+def test_resolved_config_round_trips_any_config(values, name):
+    # _write_resolved -> parse_config_file -> _coerce gives back the same RunConfig
+    with tempfile.TemporaryDirectory() as d:
+        cfg = RunConfig(**values, out=os.path.join(d, name))
+        cli._write_resolved(cfg)
+        parsed = parse_config_file(cfg.out + ".config")
+    assert set(parsed) == {f.name for f in fields(RunConfig)}
+    assert RunConfig(**{k: cli._coerce(k, v) for k, v in parsed.items()}) == cfg
 
 
 class TestDriftGrammar:

@@ -1,24 +1,77 @@
 """Unit tests for the fBm samplers and the reproducible path RNG."""
 
+import math
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+import roughdelta
 from roughdelta.bel import WeightFn, _weight_batch
 from roughdelta.fbm import (
     _CONV_ROWS,
+    CholeskyFactorizationError,
     GridSpec,
+    _cholesky_factor,
     _normal_block,
+    _volterra_paths,
     covariance_report,
     sample_cholesky_batch,
     sample_joint_batch,
     volterra_weights,
     wiener_increment_batch,
 )
-from roughdelta.frac_core import HurstParam
+from roughdelta.frac_core import HurstParam, _kernel_vec
 
 H01 = HurstParam(0.1)
+
+
+@lru_cache(maxsize=None)
+def _dense_volterra_weights(h: float, n: int, T: float) -> np.ndarray:
+    """Independent oracle: the dense (n+1) x n integrated-kernel weight matrix.
+
+    bh[k] = sum_j w[k, j] dW[j].  Interior cells carry the cell average
+    (1/dt) int_cell K(t_k, s) ds by 12-point Gauss-Legendre on the closed-form
+    kernel; the two singular cells of each row (s near 0 and s near t_k) carry
+    the cell's L2 norm sqrt((1/dt) int_cell K^2 ds) by Gauss-Jacobi quadrature
+    with the matching weight exponent.
+    """
+    dt = T / n
+    t = np.arange(n + 1) * dt
+    W = np.zeros((n + 1, n))
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    xj0, wj0 = special.roots_jacobi(16, 0.0, 2 * h - 1.0)
+    xjl, wjl = special.roots_jacobi(24, 2 * h - 1.0, 0.0)
+    s0 = (xj0 + 1) * 0.5 * dt
+    half = (dt / 2) ** (2 * h)
+    for k in range(1, n + 1):
+        tk = t[k]
+        if k == 1:
+            W[k, 0] = math.sqrt(tk ** (2 * h) / dt)
+            continue
+        i2 = half * np.sum(wj0 * _kernel_vec(h, tk, s0) ** 2 * s0 ** (1 - 2 * h))
+        W[k, 0] = math.sqrt(i2 / dt)
+        sl = t[k - 1] + (xjl + 1) * 0.5 * dt
+        i2l = half * np.sum(wjl * _kernel_vec(h, tk, sl) ** 2 * (tk - sl) ** (1 - 2 * h))
+        W[k, k - 1] = math.sqrt(i2l / dt)
+        if k > 2:
+            a = t[1 : k - 1][:, None]
+            nodes = a + (xg[None, :] + 1) * 0.5 * dt
+            W[k, 1 : k - 1] = 0.5 * np.sum(wg[None, :] * _kernel_vec(h, tk, nodes), axis=1)
+    return W
+
+
+def _implied_weights(grid: GridSpec, h: HurstParam) -> np.ndarray:
+    """The sampler's weight matrix w[k, j]: its paths for unit increments dW = e_j."""
+    n = grid.n_steps
+    return _volterra_paths(grid, h, np.eye(n)[:, :, None])[:, :, 0].T
 
 
 class TestGridSpec:
@@ -119,6 +172,24 @@ class TestBatchSplit:
             for w, one in zip(whole, draws(start + p, 1)):
                 assert w[p].tobytes() == one[0].tobytes()
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=_SEEDS,
+        n=st.integers(2, 40),
+        count=st.integers(1, 2 * _CONV_ROWS + 8),
+        data=st.data(),
+    )
+    def test_sampler_splits_across_chunks(self, seed, n, count, data):
+        # the sampler's FFT runs _CONV_ROWS rows at a time; a path's bits do
+        # not depend on which chunk of which batch it falls in
+        cut = data.draw(st.integers(0, count))
+        grid = GridSpec(1.0, n)
+        bh = lambda s, c: sample_joint_batch(grid, H01, 2, seed, s, c)[1]
+        whole = bh(0, count)
+        assert whole.tobytes() == np.concatenate([bh(0, cut), bh(cut, count - cut)]).tobytes()
+        for p in data.draw(st.lists(st.integers(0, count - 1), max_size=4)):
+            assert whole[p].tobytes() == bh(p, 1)[0].tobytes()
+
     @settings(max_examples=20, deadline=None)
     @given(seed=_SEEDS, start=_STARTS, count=st.integers(1, 6), data=st.data())
     def test_cholesky_splits_to_rounding(self, seed, start, count, data):
@@ -160,6 +231,53 @@ class TestBatchSplit:
             assert whole[p].tobytes() == weight(slice(p, p + 1))[0].tobytes()
 
 
+_THREAD_CHILD = """
+import hashlib
+import numpy as np
+from roughdelta.bel import WeightFn, _weight_batch
+from roughdelta.fbm import GridSpec, sample_joint_batch
+from roughdelta.frac_core import HurstParam
+from roughdelta.sde import RegimeSwitchDrift, euler_solve_batch, flow_derivative_batch, mollify
+
+grid, h, a = GridSpec(1.0, 256), HurstParam(0.1), WeightFn(1.0)
+drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
+
+def draw(start, count):
+    dW, bh = sample_joint_batch(grid, h, 1, 17, start, count)
+    jac = flow_derivative_batch(drift, euler_solve_batch(drift, 0.1, bh, grid), grid)
+    return bh, _weight_batch(h, a, jac, dW, grid)
+
+bh, pi = draw(0, 4096)
+one_bh, one_pi = draw(4095, 1)
+same = bh[-1].tobytes() == one_bh[0].tobytes() and pi[-1].tobytes() == one_pi[0].tobytes()
+print(hashlib.sha256(bh.tobytes()).hexdigest(), hashlib.sha256(pi.tobytes()).hexdigest(), same)
+"""
+
+
+def test_bits_match_across_blas_threads():
+    """bh and pi of 4096 paths at N = 256 have the same bytes at 1 and 2 BLAS
+    threads, and the last path has them as a batch of one.
+
+    With OpenBLAS, a GEMM put in either contraction (sampler or profile) still
+    gives the same bytes at 1 and 2 threads, since it does not split inner sums
+    across threads; the batch of one, which BLAS computes as a GEMV, catches it.
+    """
+    src_dir = str(Path(roughdelta.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in (1, 2):
+        env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": pythonpath}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        r = subprocess.run(
+            [sys.executable, "-c", _THREAD_CHILD], capture_output=True, text=True, env=env
+        )
+        assert r.returncode == 0, r.stderr
+        outputs.append(r.stdout.split())
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2] == "True"
+
+
 class TestVolterraSampler:
     def test_batch_matches_single(self):
         # a single path is the batch of one, bit for bit
@@ -192,14 +310,45 @@ class TestVolterraSampler:
         assert abs(corr) < 0.06
 
     def test_weights_l2_match_variance(self):
-        # sum of squared weights for B(t_k) must equal t_k^{2H} closely
+        # sum of squared implied weights for B(t_k) must equal t_k^{2H} closely
         grid = GridSpec(1.0, 512)
         for h in (HurstParam(0.05), HurstParam(0.1)):
-            w = volterra_weights(grid, h)
+            w = _implied_weights(grid, h)
             var = np.sum(w[1:] ** 2, axis=1) * grid.dt
             target = grid.times[1:] ** (2 * h.h)
             rel = np.abs(var - target) / target
             assert rel[-1] < 0.02
+
+    def test_tables_are_cached_and_small(self):
+        # the sampler keeps O(N) tables, not a matrix, and builds them once
+        grid = GridSpec(1.0, 64)
+        w = volterra_weights(grid, H01)
+        assert isinstance(w, np.ndarray) and w.shape == (64,)
+        assert volterra_weights(GridSpec(1.0, 64), HurstParam(0.1)) is w
+        assert not w.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 128, 256, 1024])
+    @pytest.mark.parametrize("hv", [0.05, 0.1, 0.3])
+    def test_matches_dense_oracle(self, n, hv):
+        # tolerances fixed before the split sampler was written: its corrected
+        # cells are the dense values to rounding, every other cell is close in
+        # L2, and the variance and covariance errors stay at the dense level
+        grid = GridSpec(1.0, n)
+        h = HurstParam(hv)
+        w = _implied_weights(grid, h)
+        ref = _dense_volterra_weights(hv, n, 1.0)
+        assert w[0].tobytes() == np.zeros(n).tobytes()
+        k = np.arange(1, n + 1)
+        np.testing.assert_allclose(w[k, k - 1], ref[k, k - 1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w[1:, 0], ref[1:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w[2:, 1], ref[2:, 1], rtol=1e-12, atol=0)
+        rel_l2 = np.linalg.norm(w[1:] - ref[1:], axis=1) / np.linalg.norm(ref[1:], axis=1)
+        assert rel_l2.max() <= 1e-2
+        assert abs(grid.dt * np.sum(w[n] ** 2) - grid.horizon ** (2 * hv)) <= 2e-3
+        t = grid.times[1:]
+        target = 0.5 * (t[:, None] ** (2 * hv) + t ** (2 * hv) - np.abs(t[:, None] - t) ** (2 * hv))
+        cov_err = lambda m: np.max(np.abs(grid.dt * m[1:] @ m[1:].T - target))
+        assert cov_err(w) <= cov_err(ref) + 1e-3
 
 
 class TestCholeskySampler:
@@ -222,6 +371,23 @@ class TestCholeskySampler:
         # the dense factorization is capped at 4096 steps
         with pytest.raises(ValueError):
             sample_cholesky_batch(GridSpec(1.0, 4097), H01, 0, 0, 1)
+
+    def test_factorization_error_names_config(self, monkeypatch):
+        # both the plain and the jittered factorization fail: the error names
+        # the grid and h, and the warning announces the jitter retry
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        _cholesky_factor.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="jitter"):
+                with pytest.raises(CholeskyFactorizationError, match=r"n_steps=24, h=0\.1\b") as exc:
+                    sample_cholesky_batch(GridSpec(1.0, 24), H01, 0, 0, 1)
+        finally:
+            _cholesky_factor.cache_clear()
+        assert (exc.value.n_steps, exc.value.h) == (24, 0.1)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_batch_sampler_size_guard(self):
         with pytest.raises(ValueError, match="not supported"):
