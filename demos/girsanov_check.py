@@ -12,7 +12,7 @@ import numpy as np
 from roughdelta import GridSpec, HurstParam, RegimeSwitchDrift, mollify
 from roughdelta.fbm import sample_joint_batch
 from roughdelta.girsanov import girsanov_xi_batch, reweighted_expectation
-from roughdelta.sde import euler_solve_batch
+from roughdelta.sde import solve_batch
 
 h = HurstParam(0.1)
 grid = GridSpec(1.0, 128)
@@ -29,7 +29,8 @@ print(f"E[xi] = {xi.mean():.4f} ± {se:.4f}  (must be 1)")
 mol = mollify(drift, epsilon=0.05)
 f = lambda x: np.maximum(x - 0.2, 0.0)
 _, xif = reweighted_expectation(h, mol, f, bh[:, :, 0], dW[:, :, 0], grid, x0=0.3)
-direct = f(euler_solve_batch(mol, np.array([0.3]), bh, grid)[:, -1, 0])
+_, ends, _ = solve_batch(mol, [[0.3]], bh, grid)
+direct = f(ends[0, :, 0])
 
 print(
     f"Reweighted zero-drift value: {xif.mean():.4f}"

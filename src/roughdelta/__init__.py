@@ -38,9 +38,8 @@ from .sde import (
     RegimeSwitchOUDrift,
     ZeroDrift,
     default_epsilon,
-    euler_solve_batch,
-    flow_derivative_batch,
     mollify,
+    solve_batch,
 )
 from .bel import (
     DeltaEstimate,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .frac_core import HurstParam, SampledFunction, big_c_h
 from .fbm import GridSpec, _causal_conv, sample_joint_batch
-from .sde import MollifiedDrift, euler_solve_batch, flow_derivative_batch
+from .sde import MollifiedDrift, solve_batch
 
 __all__ = [
     "WeightFn",
@@ -211,20 +211,23 @@ def _mc_mean(n_paths: int, batch_size: int, block):
     return [_mean_stderr(whole) for whole in samples]
 
 
-def _bel_block(drift, x0: np.ndarray, payoff, h, a, grid, dW, bh) -> np.ndarray:
-    """Per-path payoff(X_T) * pi, shape (B, d), on a drawn (dW, bh) batch.
+def _payoff_at(payoff, xt: np.ndarray):
+    """payoff of the (B, d) terminal states; a one-dimensional state goes in as (B,)."""
+    return payoff(xt[:, 0] if xt.shape[1] == 1 else xt)
 
-    Euler state -> flow -> weight pi, as in estimate_delta; NaN payoffs abort.
+
+def _bel_block(drift, starts: np.ndarray, payoff, h, a, grid, dW, bh):
+    """Per-path payoff(X_T) * pi of starts[0], (B, d), and every start's X_T, (m, B, d).
+
+    One Euler/flow pass on a drawn (dW, bh) batch -> weight pi, as in
+    estimate_delta; NaN payoffs abort.
     """
-    d = x0.size
-    x = euler_solve_batch(drift, x0, bh, grid)
-    jac = flow_derivative_batch(drift, x, grid)
+    _, ends, jac = solve_batch(drift, starts, bh, grid)
     pi = _weight_batch(h, a, jac, dW, grid)
-    xt = x[:, -1]
-    phi = np.asarray(payoff(xt[:, 0] if d == 1 else xt), dtype=float).reshape(len(xt))
+    phi = np.asarray(_payoff_at(payoff, ends[0]), dtype=float).reshape(len(pi))
     if np.any(np.isnan(phi)):
         raise FloatingPointError("payoff returned NaN")
-    return phi[:, None] * pi
+    return phi[:, None] * pi, ends
 
 
 def estimate_delta(
@@ -254,7 +257,7 @@ def estimate_delta(
 
     def block(start, count):
         dW, bh = sample_joint_batch(grid, h, x0.size, master_seed, start, count)
-        return (_bel_block(drift, x0, payoff, h, a, grid, dW, bh),)
+        return (_bel_block(drift, x0[None], payoff, h, a, grid, dW, bh)[0],)
 
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -44,11 +45,12 @@ from .sde import (
     mollify,
 )
 from .bel import (
-    DEFAULT_BATCH, PAYOFF_NAMES, WeightFn, _bel_block, _mc_mean, estimate_delta, make_payoff
+    DEFAULT_BATCH, PAYOFF_NAMES, WeightFn, _bel_block, _mc_mean, _payoff_at, estimate_delta,
+    make_payoff,
 )
 from .rough_vol import RVConfig, VolMap, sbel_delta
 from .girsanov import girsanov_xi_batch
-from .fd import _central_diffs, _sde_payoff, gaussian_digital_delta
+from .fd import _central, gaussian_digital_delta
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -88,6 +90,12 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _strip_comment(line: str) -> str:
+    """The line up to a '#' that starts it or follows whitespace, stripped."""
+    return _COMMENT.split(line, maxsplit=1)[0].strip()
 
 
 def _key_to_field(key: str) -> str:
@@ -97,12 +105,14 @@ def _key_to_field(key: str) -> str:
 def parse_config_file(path: str) -> dict:
     """Flat key=value parser; blank lines and '#' comments allowed.
 
-    Raises ValueError with the offending line number on malformed input.
+    A comment starts at a '#' at the start of a line or after whitespace, so
+    a value may contain '#' (``out=/tmp/hash#dir/r.csv``).  Raises ValueError
+    with the offending line number on malformed input.
     """
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _strip_comment(raw)
             if not line:
                 continue
             if "=" not in line:
@@ -202,11 +212,20 @@ def _write_rows(path: str, rows) -> None:
 
 
 def _write_resolved(cfg: RunConfig) -> None:
-    path = cfg.out + ".config"
-    with open(path, "w") as fh:
-        for f in fields(RunConfig):
-            key = f.name.replace("_", "-")
-            fh.write(f"{key}={getattr(cfg, f.name)}\n")
+    """Write cfg as a config file that parse_config_file reads back to the same values.
+
+    Raises ValueError, before writing, on a value that would not round trip:
+    one with a line break, surrounding blanks, or a '#' after whitespace.
+    """
+    lines = []
+    for f in fields(RunConfig):
+        key, text = f.name.replace("_", "-"), str(getattr(cfg, f.name))
+        line = f"{key}={text}"
+        if "\n" in text or "\r" in text or _strip_comment(line).partition("=")[2].strip() != text:
+            raise ValueError(f"{f.name} value {text!r} cannot round trip through a config file")
+        lines.append(line + "\n")
+    with open(cfg.out + ".config", "w") as fh:
+        fh.writelines(lines)
 
 
 def _resolved_drift(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> MollifiedDrift:
@@ -231,22 +250,24 @@ def _run_paths(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
 def _run_delta_sde(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
     """Weight delta and CRN finite-difference oracle from one draw per batch.
 
-    BEL and both FD sides share each batch's (dW, bh), giving the bits of
-    separate estimate_delta and fd_delta(sde_payoff_runner(...)) runs.
-    Because they share paths, bel_fd_gap is the mean of the per-path
-    differences bel - fd, with their paired stderr.
+    BEL and both FD sides share each batch's (dW, bh), and one Euler pass
+    advances x0 and x0 +- bump together, giving the bits of separate
+    estimate_delta and fd_delta(sde_payoff_runner(...)) runs.  Because they
+    share paths, bel_fd_gap is the mean of the per-path differences bel - fd,
+    with their paired stderr.
     """
     drift = _resolved_drift(cfg, grid, h)
     payoff = make_payoff(cfg.payoff, cfg.strike)
     a = WeightFn(cfg.horizon, cfg.weight_fn)
     x0 = np.array([cfg.x0])
     bump = 0.1 * cfg.horizon**h.h
+    starts = np.stack([x0, x0 + bump, x0 - bump])
 
     def block(start, count):
         dW, bh = sample_joint_batch(grid, h, 1, cfg.seed, start, count)
-        paired = lambda x: _sde_payoff(drift, payoff, x, bh, grid)
-        bel = _bel_block(drift, x0, payoff, h, a, grid, dW, bh)
-        fd = _central_diffs(paired, x0, bump)
+        bel, ends = _bel_block(drift, starts, payoff, h, a, grid, dW, bh)
+        up, dn = (_payoff_at(payoff, xt) for xt in ends[1:])
+        fd = _central(up, dn, bump)[:, None]
         return bel, fd, bel - fd
 
     (bel_mean, bel_se), (fd_mean, fd_se), (gap, gap_se) = _mc_mean(

@@ -303,7 +303,6 @@ class CovarianceReport:
     deviation_se: np.ndarray = field(repr=False)
     max_deviation_se: float = 0.0
     n_paths: int = 0
-    degenerate: bool = False
 
 
 def covariance_report(
@@ -331,7 +330,6 @@ def covariance_report(
     tt, ss = np.meshgrid(times, times, indexing="ij")
     target = cov_rh(h, tt, ss)
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_paths)
-    degenerate = bool(np.all(np.var(values, axis=0) < 1e-300))
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = np.where(se > 0, np.abs(sample - target) / se, 0.0)
     return CovarianceReport(
@@ -341,5 +339,4 @@ def covariance_report(
         deviation_se=dev,
         max_deviation_se=float(dev.max()),
         n_paths=n_paths,
-        degenerate=degenerate,
     )

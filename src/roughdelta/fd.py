@@ -18,8 +18,8 @@ import numpy as np
 
 from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch
-from .sde import MollifiedDrift, euler_solve_batch
-from .bel import _mc_mean
+from .sde import MollifiedDrift, solve_batch
+from .bel import _mc_mean, _payoff_at
 from .rough_vol import _simulate_batch
 
 __all__ = [
@@ -83,10 +83,13 @@ def _central_diffs(payoff_at, x: np.ndarray, bump: float) -> np.ndarray:
     for i in range(x.size):
         e = np.zeros(x.size)
         e[i] = bump
-        up = np.asarray(payoff_at(x + e), dtype=float)
-        dn = np.asarray(payoff_at(x - e), dtype=float)
-        cols.append((up - dn) / (2.0 * bump))
+        cols.append(_central(payoff_at(x + e), payoff_at(x - e), bump))
     return np.stack(cols, axis=1)
+
+
+def _central(up, dn, bump: float) -> np.ndarray:
+    """Per-path central difference (up - dn) / (2 bump) of two bump sides' payoffs."""
+    return (np.asarray(up, dtype=float) - np.asarray(dn, dtype=float)) / (2.0 * bump)
 
 
 def gaussian_digital_delta(x: float, strike: float, horizon: float, h: HurstParam) -> float:
@@ -114,15 +117,10 @@ def sde_payoff_runner(
     def run(x, master_seed, start, count):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         _, bh = sample_joint_batch(grid, h, x.size, master_seed, start, count)
-        return _sde_payoff(drift, payoff, x, bh, grid)
+        _, ends, _ = solve_batch(drift, x[None], bh, grid)
+        return _payoff_at(payoff, ends[0])
 
     return run
-
-
-def _sde_payoff(drift, payoff, x: np.ndarray, bh: np.ndarray, grid: GridSpec):
-    """Payoff of the Euler terminal state started at x on a drawn fBm batch bh."""
-    xt = euler_solve_batch(drift, x, bh, grid)[:, -1]
-    return payoff(xt[:, 0] if x.size == 1 else xt)
 
 
 def rv_payoff_runner(base_cfg, payoff, grid: GridSpec) -> Runner:

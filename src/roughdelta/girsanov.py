@@ -81,7 +81,3 @@ class _NegatedDrift(DriftSpec):
 
     def value(self, t, x):
         return -self.base.value(t, x)
-
-    @property
-    def bound(self) -> float:
-        return self.base.bound

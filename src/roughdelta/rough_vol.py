@@ -17,7 +17,7 @@ import numpy as np
 
 from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch, wiener_increment_batch
-from .sde import MollifiedDrift, euler_solve_batch, flow_derivative_batch
+from .sde import _STEP_BLOCK, MollifiedDrift, solve_batch
 from .bel import (
     DeltaEstimate,
     WeightFn,
@@ -59,13 +59,11 @@ class VolMap:
 
 
 def _sigmoid(z):
+    """1 / (1 + e^{-z}) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,14 @@ def _simulate_batch(
     increments, one for the stock's Wiener increments.  The stock uses a
     log-Euler step (exact for constant g, positivity-preserving); its
     variation in x2 is the exact derivative of that discrete recursion, so
-    gamma = 0 gives dS_dx2 identically zero.
+    gamma = 0 gives dS_dx2 identically zero.  Returns path-major
+    (s, sigma, dS_dx2, dsigma_dx2, dW', dW, g(sigma)), the last without its
+    terminal column.
+
+    The stock loop runs time-major, _STEP_BLOCK steps at a time: each block's
+    elementwise terms are formed at once, S is their running product
+    (multiply.accumulate multiplies in step order) and only the dS_dx2
+    recursion steps in Python, so every element keeps a per-step loop's bits.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -101,22 +106,29 @@ def _simulate_batch(
         grid, cfg.h, 1, master_seed, start, count, stream=STREAM_FRACTIONAL
     )
     dWp = wiener_increment_batch(grid, master_seed, start, count, stream=STREAM_STOCK)
-    sigma = euler_solve_batch(cfg.vol_drift, np.array([cfg.x2]), bh, grid)[:, :, 0]
-    dsig = flow_derivative_batch(cfg.vol_drift, sigma[:, :, None], grid)[:, :, 0]
+    sigma, _, dsig = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid)
+    sigma, dsig = sigma[:, :, 0], dsig[:, :, 0]
     s = np.empty((count, n + 1))
-    k2 = np.zeros((count, n + 1))
+    k2 = np.empty((count, n + 1))
+    gsig = np.empty((count, n))
     s[:, 0] = cfg.x1
-    for k in range(n):
-        gs = cfg.g(sigma[:, k])
-        gp = cfg.g.deriv(sigma[:, k])
-        step = np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dWp[:, k])
-        s[:, k + 1] = s[:, k] * step
-        k2[:, k + 1] = k2[:, k] * step + s[:, k + 1] * gp * dsig[:, k] * (
-            dWp[:, k] - gs * dt
-        )
+    k2[:, 0] = 0.0
+    for k0 in range(0, n, _STEP_BLOCK):
+        blk = slice(k0, min(k0 + _STEP_BLOCK, n))
+        nxt = slice(blk.start + 1, blk.stop + 1)
+        sig, dw, ds = (np.ascontiguousarray(v[:, blk].T) for v in (sigma, dWp, dsig))
+        gs = cfg.g(sig)
+        step = np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dw)
+        sk = np.multiply.accumulate(np.vstack([s[:, k0], step]), axis=0)
+        drive = sk[1:] * cfg.g.deriv(sig) * ds * (dw - gs * dt)
+        kk = np.empty_like(sk)
+        kk[0] = k2[:, k0]
+        for j in range(len(step)):
+            kk[j + 1] = kk[j] * step[j] + drive[j]
+        s[:, nxt], k2[:, nxt], gsig[:, blk] = sk[1:].T, kk[1:].T, gs.T
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("non-finite stock value in batch")
-    return s, sigma, k2, dsig, dWp, dW[:, :, 0], bh[:, :, 0]
+    return s, sigma, k2, dsig, dWp, dW[:, :, 0], gsig
 
 
 def sbel_delta(
@@ -146,10 +158,10 @@ def sbel_delta(
     n = grid.n_steps
 
     def block(start, count):
-        s, sigma, k2, dsig, dWp, dWf, _ = _simulate_batch(
+        s, sigma, k2, dsig, dWp, dWf, gsig = _simulate_batch(
             cfg, grid, master_seed, start, count
         )
-        ginv = 1.0 / (s[:, :n] * cfg.g(sigma[:, :n]))
+        ginv = 1.0 / (s[:, :n] * gsig)
         if not np.all(np.isfinite(ginv)):
             raise FloatingPointError("division guard tripped: S g(sigma) not positive")
         av = a.values(t[:n])[None, :]

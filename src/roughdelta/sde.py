@@ -25,29 +25,18 @@ __all__ = [
     "MollifiedDrift",
     "mollify",
     "default_epsilon",
-    "euler_solve_batch",
-    "flow_derivative_batch",
+    "solve_batch",
 ]
+
+_STEP_BLOCK = 32
 
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Base drift field b(t, x); subclasses define the actual shape.
-
-    `bound` is the sup norm of the field (inf when unbounded), carried as
-    metadata.
-    """
+    """Base drift field b(t, x); subclasses define the actual shape."""
 
     def value(self, t, x):
         raise NotImplementedError
-
-    @property
-    def bound(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def smooth(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -57,14 +46,6 @@ class ZeroDrift(DriftSpec):
 
     def derivative(self, t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    @property
-    def bound(self) -> float:
-        return 0.0
-
-    @property
-    def smooth(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -79,14 +60,6 @@ class LinearDrift(DriftSpec):
     def derivative(self, t, x):
         return np.full_like(np.asarray(x, dtype=float), self.lam)
 
-    @property
-    def bound(self) -> float:
-        return math.inf
-
-    @property
-    def smooth(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class RegimeSwitchDrift(DriftSpec):
@@ -99,10 +72,6 @@ class RegimeSwitchDrift(DriftSpec):
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
         return np.where(x > self.threshold, self.b1, self.b2)
-
-    @property
-    def bound(self) -> float:
-        return max(abs(self.b1), abs(self.b2))
 
 
 @dataclass(frozen=True)
@@ -122,10 +91,6 @@ class RegimeSwitchOUDrift(DriftSpec):
         x = np.asarray(x, dtype=float)
         rate = np.where(x > self.threshold, self.a1, self.a2)
         return rate * (self.level - x)
-
-    @property
-    def bound(self) -> float:
-        return math.inf  # linear growth; bounded only on compacts
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -178,10 +143,6 @@ class MollifiedDrift:
             return (b.a1 - b.a2) * self._bump(x) * (b.level - x) - rate
         return b.derivative(t, x)
 
-    @property
-    def bound(self) -> float:
-        return self.base.bound
-
 
 def mollify(base: DriftSpec, epsilon: float) -> MollifiedDrift:
     """Smooth a drift field; see :class:`MollifiedDrift`."""
@@ -193,55 +154,66 @@ def default_epsilon(grid: GridSpec, h) -> float:
     return 4.0 * math.sqrt(grid.dt) * grid.horizon**h.h
 
 
-def euler_solve_batch(
-    drift: MollifiedDrift, x0: np.ndarray, bh: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    """Explicit Euler for dX = b_eps(t, X) dt + dB^H over a batch of fBm paths.
+def solve_batch(
+    drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit Euler for dX = b_eps(t, X) dt + dB^H from m starts, with the flow of the first.
 
-    The drift is taken at the left endpoint of each step.  bh has shape
-    (B, n+1, d) and x0 shape (d,); returns states of bh's shape.  A NaN in the
-    state aborts with the first offending step index.
+    bh has shape (B, n+1, d) and starts shape (m, d); every start runs on the
+    same fBm paths, and the drift is taken at the left endpoint of each step.
+    Returns (x, ends, jac): the states x of starts[0] and the diagonal of its
+    first-variation flow J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I,
+    each of bh's shape, and the terminal states of every start, (m, B, d).
+
+    The state advances time-major, one (m, B, d) row per step.  Increments go
+    in, and x and jac come out, _STEP_BLOCK steps at a time, so no full-size
+    transposed copy is made.  Each element sees the arithmetic of a path-major
+    loop, so its bits depend neither on the layout nor on the batch.
+
+    Two faults abort, the one at the earlier step first: a non-finite state
+    names its start index, batch row and step; a non-positive flow factor
+    (the downstream weight assumes an orientation-preserving flow) names its
+    batch row, step and component.  Step k's factor is checked before the
+    state at step k+1 is formed, and the state at step k was checked before
+    it, so the two can never be due at once.
     """
     B, n1, d = bh.shape
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (d,):
-        raise ValueError(f"x0 has shape {x0.shape}, paths have d={d}")
-    n = n1 - 1
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != d or len(starts) == 0:
+        raise ValueError(f"starts have shape {starts.shape}, need (m >= 1, d={d})")
     dt = grid.dt
     t = grid.times
     x = np.empty_like(bh)
-    x[:, 0] = x0
-    for k in range(n):
-        b = drift.value(t[k], x[:, k])
-        x[:, k + 1] = x[:, k] + b * dt + (bh[:, k + 1] - bh[:, k])
-        if not np.all(np.isfinite(x[:, k + 1])):
-            raise FloatingPointError(f"non-finite state at step {k + 1}")
-    return x
-
-
-def flow_derivative_batch(
-    drift: MollifiedDrift, x: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    """First-variation flow J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I.
-
-    x has shape (B, n+1, d); drifts act componentwise, so the flow is
-    diagonal and returned as its diagonal, shape (B, n+1, d).  Every
-    component's factor (1 + Db dt) must stay positive; a non-positive factor
-    aborts, naming the component, since the downstream weight assumes an
-    orientation-preserving flow.
-    """
-    dt = grid.dt
-    t = grid.times
-    jac = np.empty_like(x)
+    jac = np.empty_like(bh)
+    x[:, 0] = starts[0]
     jac[:, 0] = 1.0
-    for k in range(x.shape[1] - 1):
-        db = drift.derivative(t[k], x[:, k])
-        factor = 1.0 + db * dt
-        bad = np.any(factor <= 0.0, axis=0)
-        if np.any(bad):
-            raise FloatingPointError(
-                f"flow factor non-positive at step {k} in component"
-                f" {int(np.argmax(bad))}; decrease dt or epsilon"
-            )
-        jac[:, k + 1] = jac[:, k] * factor
-    return jac
+    state = np.empty((_STEP_BLOCK + 1, len(starts), B, d))
+    flow = np.empty((_STEP_BLOCK + 1, B, d))
+    inc = np.empty((_STEP_BLOCK, B, d))
+    state[0] = starts[:, None]
+    flow[0] = 1.0
+    swap = lambda a: a.transpose(1, 0, 2)  # path-major <-> time-major view
+    for k0 in range(0, n1 - 1, _STEP_BLOCK):
+        nb = min(_STEP_BLOCK, n1 - 1 - k0)
+        np.subtract(swap(bh[:, k0 + 1 : k0 + nb + 1]), swap(bh[:, k0 : k0 + nb]), out=inc[:nb])
+        for j in range(nb):
+            k = k0 + j
+            factor = 1.0 + drift.derivative(t[k], state[j, 0]) * dt
+            if np.any(factor <= 0.0):
+                row, comp = np.argwhere(factor <= 0.0)[0]
+                raise FloatingPointError(
+                    f"flow factor non-positive in batch row {row} at step {k} in"
+                    f" component {comp}; decrease dt or epsilon"
+                )
+            np.multiply(flow[j], factor, out=flow[j + 1])
+            np.add(state[j] + drift.value(t[k], state[j]) * dt, inc[j], out=state[j + 1])
+            if not np.all(np.isfinite(state[j + 1])):
+                start, row, _ = np.argwhere(~np.isfinite(state[j + 1]))[0]
+                raise FloatingPointError(
+                    f"non-finite state at step {k + 1} from start {start} in batch row {row}"
+                )
+        x[:, k0 + 1 : k0 + nb + 1] = swap(state[1 : nb + 1, 0])
+        jac[:, k0 + 1 : k0 + nb + 1] = swap(flow[1 : nb + 1])
+        state[0] = state[nb]
+        flow[0] = flow[nb]
+    return x, state[0].copy(), jac

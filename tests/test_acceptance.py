@@ -47,9 +47,8 @@ from roughdelta.sde import (
     LinearDrift,
     RegimeSwitchDrift,
     ZeroDrift,
-    euler_solve_batch,
-    flow_derivative_batch,
     mollify,
+    solve_batch,
 )
 
 H01 = HurstParam(0.1)
@@ -214,14 +213,12 @@ def test_07_flow_accuracy():
     grid = GridSpec(1.0, 1024)
     m = mollify(LinearDrift(lam), 0.05)
     _, bh = sample_joint_batch(grid, H01, 1, 31, 0, 1)  # path 0 as a batch of one
-    x = euler_solve_batch(m, 0.2, bh, grid)
-    jac_T = flow_derivative_batch(m, x, grid)[0, -1, 0]
+    bump = 1e-5
+    _, ends, jac = solve_batch(m, [[0.2], [0.2 + bump], [0.2 - bump]], bh, grid)
+    jac_T = jac[0, -1, 0]
     rel = abs(jac_T - math.exp(lam)) / math.exp(lam)
 
-    bump = 1e-5
-    up = euler_solve_batch(m, 0.2 + bump, bh, grid)[0, -1, 0]
-    dn = euler_solve_batch(m, 0.2 - bump, bh, grid)[0, -1, 0]
-    fd = (up - dn) / (2 * bump)
+    fd = (ends[1, 0, 0] - ends[2, 0, 0]) / (2 * bump)
     fd_gap = abs(jac_T - fd)
     ok = rel <= 1e-2 and fd_gap <= 1e-2
     _report(
@@ -249,7 +246,8 @@ def test_08_girsanov():
     _, xif = reweighted_expectation(
         H01, mol, f, bh[:, :, 0], dW[:, :, 0], grid, 0.3
     )
-    xt = euler_solve_batch(mol, np.array([0.3]), bh, grid)[:, -1, 0]
+    _, ends, _ = solve_batch(mol, [[0.3]], bh, grid)
+    xt = ends[0, :, 0]
     direct = f(xt)
     gap = abs(xif.mean() - direct.mean())
     combined = math.hypot(

@@ -17,9 +17,8 @@ from roughdelta.frac_core import HurstParam, SampledFunction
 from roughdelta.sde import (
     RegimeSwitchDrift,
     ZeroDrift,
-    euler_solve_batch,
-    flow_derivative_batch,
     mollify,
+    solve_batch,
 )
 
 H01 = HurstParam(0.1)
@@ -54,7 +53,7 @@ def _zero_drift_flows(grid, seed, start, count):
     """(dW, flow) of zero-drift paths start .. start+count-1."""
     m = mollify(ZeroDrift(), 0.05)
     dW, bh = sample_joint_batch(grid, H01, 1, seed, start, count)
-    jac = flow_derivative_batch(m, euler_solve_batch(m, 0.0, bh, grid), grid)
+    _, _, jac = solve_batch(m, [[0.0]], bh, grid)
     return dW, jac
 
 

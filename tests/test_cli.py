@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import string
 import tempfile
 from dataclasses import fields
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from roughdelta import cli
 from roughdelta.bel import WeightFn, _bel_block, estimate_delta, make_payoff
 from roughdelta.fbm import GridSpec, sample_joint_batch
-from roughdelta.fd import _central_diffs, _sde_payoff, fd_delta, sde_payoff_runner
+from roughdelta.fd import _central_diffs, fd_delta, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
 from roughdelta.sde import mollify
 from roughdelta.cli import (
@@ -41,6 +42,25 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=":2:"):
             parse_config_file(str(p))
 
+    def test_hash_inside_a_value(self, tmp_path):
+        # '#' starts a comment only at line start or after whitespace
+        p = tmp_path / "run.cfg"
+        p.write_text("out=/tmp/hash#dir/r.csv\ndrift=zero\t# tab comment\n")
+        assert parse_config_file(str(p)) == {"out": "/tmp/hash#dir/r.csv", "drift": "zero"}
+
+    def test_hash_path_round_trips(self, tmp_path):
+        (tmp_path / "hash#dir").mkdir()
+        cfg = RunConfig(out=str(tmp_path / "hash#dir" / "r.csv"))
+        cli._write_resolved(cfg)
+        parsed = parse_config_file(cfg.out + ".config")
+        assert RunConfig(**{k: cli._coerce(k, v) for k, v in parsed.items()}) == cfg
+
+    @pytest.mark.parametrize("form", ["{}/r.csv #x", " {}/r.csv", "{}/r.csv\t", "{}/a\rb.csv"])
+    def test_unwritable_value_raises(self, tmp_path, form):
+        cfg = RunConfig(out=form.format(tmp_path))
+        with pytest.raises(ValueError, match="cannot round trip"):
+            cli._write_resolved(cfg)
+
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("volatility=3\n")
@@ -49,15 +69,14 @@ class TestConfigFile:
 
 
 def _text(alphabet):
-    # values are stripped on parsing and '#' starts a comment, so neither
-    # surrounding blanks nor '#' can round trip
+    # values are stripped on parsing, so surrounding blanks cannot round trip
     return st.text(st.sampled_from(alphabet), max_size=16).map(str.strip)
 
 
 _VALUE = {
     "int": st.integers(-(2**70), 2**70),
     "float": st.floats(allow_nan=False),
-    "str": _text(string.ascii_letters + string.digits + ":,.-_/=+ "),
+    "str": _text(string.ascii_letters + string.digits + ":,.-_/=+ #"),
 }
 
 
@@ -66,12 +85,19 @@ _VALUE = {
     values=st.fixed_dictionaries(
         {f.name: _VALUE[cli._FIELD_TYPES[f.name]] for f in fields(RunConfig) if f.name != "out"}
     ),
-    name=_text(string.ascii_letters + string.digits + "-_. ").filter(bool),
+    name=_text(string.ascii_letters + string.digits + "-_. #").filter(bool),
 )
 def test_resolved_config_round_trips_any_config(values, name):
-    # _write_resolved -> parse_config_file -> _coerce gives back the same RunConfig
+    # _write_resolved -> parse_config_file -> _coerce gives back the same
+    # RunConfig; a '#' after whitespace would start a comment, so such a value
+    # is refused before anything is written
     with tempfile.TemporaryDirectory() as d:
         cfg = RunConfig(**values, out=os.path.join(d, name))
+        if any(re.search(r"\s#", str(getattr(cfg, f.name))) for f in fields(RunConfig)):
+            with pytest.raises(ValueError, match="cannot round trip"):
+                cli._write_resolved(cfg)
+            assert not os.path.exists(cfg.out + ".config")
+            return
         cli._write_resolved(cfg)
         parsed = parse_config_file(cfg.out + ".config")
     assert set(parsed) == {f.name for f in fields(RunConfig)}
@@ -172,8 +198,9 @@ class TestModes:
         pay = make_payoff(payoff, 0.2)
         x0 = np.array([0.1])
         dW, bh = sample_joint_batch(grid, h, 1, 4, 0, 2000)
-        bel = _bel_block(drift, x0, pay, h, WeightFn(1.0), grid, dW, bh)[:, 0]
-        fd = _central_diffs(lambda x: _sde_payoff(drift, pay, x, bh, grid), x0, 0.1)[:, 0]
+        bel = _bel_block(drift, x0[None], pay, h, WeightFn(1.0), grid, dW, bh)[0][:, 0]
+        runner = sde_payoff_runner(drift, pay, h, grid)
+        fd = _central_diffs(lambda x: runner(x, 4, 0, 2000), x0, 0.1)[:, 0]
         diff = bel - fd
         se = np.std(diff, ddof=1) / math.sqrt(len(diff))
         gap = byq["bel_fd_gap"]

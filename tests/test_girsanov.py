@@ -12,8 +12,8 @@ from roughdelta.girsanov import girsanov_xi_batch, reweighted_expectation
 from roughdelta.sde import (
     RegimeSwitchDrift,
     ZeroDrift,
-    euler_solve_batch,
     mollify,
+    solve_batch,
 )
 
 H01 = HurstParam(0.1)
@@ -81,7 +81,8 @@ class TestReweighting:
         xi, xif = reweighted_expectation(
             H01, drift, f, bh[:, :, 0], dW[:, :, 0], grid, 0.3
         )
-        xt = euler_solve_batch(drift, np.array([0.3]), bh, grid)[:, -1, 0]
+        _, ends, _ = solve_batch(drift, [[0.3]], bh, grid)
+        xt = ends[0, :, 0]
         direct = f(xt)
         gap = abs(xif.mean() - direct.mean())
         combined = math.hypot(

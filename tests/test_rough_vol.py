@@ -13,7 +13,7 @@ from roughdelta.frac_core import SampledFunction
 from roughdelta.fbm import GridSpec
 from roughdelta.frac_core import HurstParam
 from roughdelta.rough_vol import RVConfig, VolMap, _simulate_batch, sbel_delta
-from roughdelta.sde import RegimeSwitchDrift, ZeroDrift, mollify
+from roughdelta.sde import _STEP_BLOCK, RegimeSwitchDrift, ZeroDrift, mollify
 
 H01 = HurstParam(0.1)
 
@@ -64,7 +64,41 @@ def _one_path(cfg, grid, seed, index):
     return s[0], k2[0]
 
 
+def _stock_reference(cfg, sigma, dsig, dWp, grid):
+    """Independent oracle: the path-major stock loop over columns, with a masked sigmoid."""
+
+    def g(z):
+        sig = np.empty_like(z)
+        pos = z >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        sig[~pos] = ez / (1.0 + ez)
+        return cfg.g.alpha + cfg.g.gamma * sig, cfg.g.gamma * sig * (1.0 - sig)
+
+    n, dt = grid.n_steps, grid.dt
+    s = np.empty_like(sigma)
+    k2 = np.zeros_like(sigma)
+    gsig = np.empty((len(s), n))
+    s[:, 0] = cfg.x1
+    for k in range(n):
+        gs, gp = g(sigma[:, k])
+        step = np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dWp[:, k])
+        s[:, k + 1] = s[:, k] * step
+        k2[:, k + 1] = k2[:, k] * step + s[:, k + 1] * gp * dsig[:, k] * (dWp[:, k] - gs * dt)
+        gsig[:, k] = gs
+    return s, k2, gsig
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("n", [2, _STEP_BLOCK, _STEP_BLOCK + 1, 100])
+    def test_stock_loop_matches_path_major_reference(self, n):
+        # the blocked time-major stock loop changes the layout only
+        grid = GridSpec(1.0, n)
+        cfg = _cfg(gamma=0.3, x2=0.1)
+        s, sigma, k2, dsig, dWp, _, gsig = _simulate_batch(cfg, grid, 3, 0, 7)
+        for got, ref in zip((s, k2, gsig), _stock_reference(cfg, sigma, dsig, dWp, grid)):
+            assert got.tobytes() == ref.tobytes()
+
     def test_stock_positive(self):
         s, _ = _one_path(_cfg(gamma=0.3), GridSpec(1.0, 64), 5, 2)
         assert np.all(s > 0)
