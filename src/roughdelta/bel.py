@@ -1,12 +1,13 @@
 """Derivative-free Malliavin-weight delta estimator for fBm-driven SDEs.
 
 The sensitivity of E[payoff(X_T)] to the initial state is represented as
-E[payoff(X_T) * pi] where pi is a stochastic-integral weight built from the
-first-variation flow and the underlying Wiener increments; no derivative of
-the payoff is required.  The double time integral in the weight is collapsed
-by exchanging the integration order (valid because the integrand at time s
-only involves the flow up to s), so each path costs one deterministic
-O(N log N) pass (an FFT causal convolution) plus one O(N) Ito sum.
+E[payoff(X_T) * pi], pi a stochastic-integral weight built from the flow and
+the Wiener increments; no derivative of the payoff is required.  The double
+time integral in the weight is collapsed by exchanging the integration order
+(valid because the integrand at time s only involves the flow up to s), so a
+path costs one O(N log N) FFT causal convolution plus one O(N) Ito sum, both
+done a chunk of rows at a time.  A batch holds at most three path-sized
+arrays: dW, bh and the flow at the solve, then dW and the flow.
 """
 
 from __future__ import annotations
@@ -88,19 +89,34 @@ class DeltaEstimate:
     config_digest: str
 
 
-def _profile_batch(
-    h: HurstParam, a: WeightFn, jac: np.ndarray, grid: GridSpec
+def _weight_batch(
+    h: HurstParam,
+    a: WeightFn,
+    jac: np.ndarray,
+    dW: np.ndarray,
+    grid: GridSpec,
 ) -> np.ndarray:
-    """Deterministic-in-the-flow integrand g(s_k) of the collapsed weight.
+    """The sensitivity weight pi = C_H sum_{k>=1} g(s_k) dW_k per path, shape (B, d).
 
-    jac has shape (B, n+1, d), the diagonal of each path's flow; returns g of
-    the same shape, with g[:, 0] = 0 since the inner integral is empty, and
-    g[:, k] = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] jac[:, m-1]: cint[j] is the
-    exact cell integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] = a(u) u^{1/2-H}
-    at the midpoint lag u = (m-1/2) dt, and the flow is taken at the left index
-    m-1 to keep the integrand adapted.  This causal convolution goes through
-    fbm._causal_conv, so the bits of a path's profile do not depend on the batch.
+    jac has shape (B, n+1, d), the diagonal of each path's flow, and dW shape
+    (B, n, d).  The profile g(s_k) = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m]
+    jac[:, m-1] is deterministic in the flow: cint[j] is the exact cell
+    integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] = a(u) u^{1/2-H} at the
+    midpoint lag u = (m-1/2) dt, and the flow is taken at the left index m-1 to
+    keep the integrand adapted.  This causal convolution goes through
+    fbm._causal_conv, and g is formed and reduced one chunk of its rows at a
+    time, so the full (B, n+1, d) profile is never built and the bits of a
+    path's weight do not depend on the batch.
+
+    Left-point evaluation keeps the Ito sum adapted: g(s_k) multiplies the
+    Wiener increment over [t_k, t_{k+1}].  A non-finite flow aborts before the
+    convolution spreads it over its row, naming the batch row and step of the
+    first bad entry; a non-finite weight aborts, naming the first bad batch row
+    and the first step at which its running sum turns non-finite.
     """
+    if not np.all(np.isfinite(jac)):
+        row, step, _ = np.argwhere(~np.isfinite(jac))[0]
+        raise FloatingPointError(f"non-finite flow at step {step} in batch row {row}")
     n = grid.n_steps
     if jac.shape[1] != n + 1:
         raise ValueError(f"flow has {jac.shape[1]} time points, grid has {n + 1}")
@@ -111,42 +127,25 @@ def _profile_batch(
     c2 = a.values(lag) * lag**e
     scale = t[1:] ** (h.h - 0.5)
     fc = np.fft.rfft(cint, 2 * n)
-    g = np.zeros_like(jac)
-    for i in range(jac.shape[2]):
-        for rows, y in _causal_conv(jac[:, :n, i], c2, fc, n):
-            g[rows, 1:, i] = y * scale
-    return g
-
-
-def _weight_batch(
-    h: HurstParam,
-    a: WeightFn,
-    jac: np.ndarray,
-    dW: np.ndarray,
-    grid: GridSpec,
-) -> np.ndarray:
-    """The sensitivity weight pi = C_H sum_{k>=1} g(s_k) dW_k per path, shape (B, d).
-
-    Left-point evaluation keeps the Ito sum adapted: g(s_k) multiplies the
-    Wiener increment over [t_k, t_{k+1}].  A non-finite flow aborts before the
-    convolution spreads it over its row, naming the batch row and step of the
-    first bad entry; a non-finite weight aborts, naming the batch row and the
-    first step at which its running sum turns non-finite.
-    """
-    if not np.all(np.isfinite(jac)):
-        row, step, _ = np.argwhere(~np.isfinite(jac))[0]
-        raise FloatingPointError(f"non-finite flow at step {step} in batch row {row}")
-    g = _profile_batch(h, a, jac, grid)
-    n = grid.n_steps
-    pi = big_c_h(h) * np.einsum("bkd,bkd->bd", g[:, 1:n], dW[:, 1:n])
-    if not np.all(np.isfinite(pi)):
-        row = int(np.argmax(~np.all(np.isfinite(pi), axis=1)))
-        with np.errstate(invalid="ignore", over="ignore"):
-            partial = np.cumsum(g[row, 1:n] * dW[row, 1:n], axis=0)
-        step = int(np.argmax(~np.all(np.isfinite(partial), axis=1))) + 1
-        raise FloatingPointError(
-            f"non-finite weight contribution at step {step} in batch row {row}"
-        )
+    c_h = big_c_h(h)
+    pi = np.empty((len(jac), jac.shape[2]))
+    # one generator per component; zip walks them through the same row chunks
+    convs = [_causal_conv(jac[:, :n, i], c2, fc, n) for i in range(jac.shape[2])]
+    for chunk in zip(*convs):
+        rows = chunk[0][0]
+        g = np.empty_like(jac[rows])  # column 0 (g = 0) is never read
+        for i, (_, y) in enumerate(chunk):
+            g[:, 1:, i] = y * scale
+        pi[rows] = c_h * np.einsum("bkd,bkd->bd", g[:, 1:n], dW[rows, 1:n])
+        bad = ~np.all(np.isfinite(pi[rows]), axis=1)
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            with np.errstate(invalid="ignore", over="ignore"):
+                partial = np.cumsum(g[row, 1:n] * dW[rows][row, 1:n], axis=0)
+            step = int(np.argmax(~np.all(np.isfinite(partial), axis=1))) + 1
+            raise FloatingPointError(
+                f"non-finite weight contribution at step {step} in batch row {rows.start + row}"
+            )
     return pi
 
 
@@ -216,14 +215,24 @@ def _payoff_at(payoff, xt: np.ndarray):
     return payoff(xt[:, 0] if xt.shape[1] == 1 else xt)
 
 
-def _bel_block(drift, starts: np.ndarray, payoff, h, a, grid, dW, bh):
-    """Per-path payoff(X_T) * pi of starts[0], (B, d), and every start's X_T, (m, B, d).
+def _bel_block(drift, starts: np.ndarray, payoff, h, a, grid, master_seed, start, count):
+    """Per-path payoff(X_T) * pi of starts[0], (count, d), and every start's X_T, (m, count, d).
 
-    One Euler/flow pass on a drawn (dW, bh) batch -> weight pi, as in
-    estimate_delta; NaN payoffs abort.
+    Draws paths start .. start+count-1 and runs one Euler/flow pass -> weight
+    pi, as in estimate_delta.  bh is dropped once the solve returns, so at most
+    three path-sized arrays (dW, bh, jac) are alive at once.  A kernel or
+    weight FloatingPointError is re-raised with master_seed and start, so the
+    batch row it names is path start + row; NaN payoffs abort.
     """
-    _, ends, jac = solve_batch(drift, starts, bh, grid)
-    pi = _weight_batch(h, a, jac, dW, grid)
+    dW, bh = sample_joint_batch(grid, h, starts.shape[1], master_seed, start, count)
+    try:
+        _, ends, jac = solve_batch(drift, starts, bh, grid)
+        del bh
+        pi = _weight_batch(h, a, jac, dW, grid)
+    except FloatingPointError as err:
+        raise FloatingPointError(
+            f"{err} (master_seed {master_seed}, batch row 0 is path {start})"
+        ) from err
     phi = np.asarray(_payoff_at(payoff, ends[0]), dtype=float).reshape(len(pi))
     if np.any(np.isnan(phi)):
         raise FloatingPointError("payoff returned NaN")
@@ -256,8 +265,7 @@ def estimate_delta(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     def block(start, count):
-        dW, bh = sample_joint_batch(grid, h, x0.size, master_seed, start, count)
-        return (_bel_block(drift, x0[None], payoff, h, a, grid, dW, bh)[0],)
+        return (_bel_block(drift, x0[None], payoff, h, a, grid, master_seed, start, count)[0],)
 
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(

@@ -264,8 +264,7 @@ def _run_delta_sde(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
     starts = np.stack([x0, x0 + bump, x0 - bump])
 
     def block(start, count):
-        dW, bh = sample_joint_batch(grid, h, 1, cfg.seed, start, count)
-        bel, ends = _bel_block(drift, starts, payoff, h, a, grid, dW, bh)
+        bel, ends = _bel_block(drift, starts, payoff, h, a, grid, cfg.seed, start, count)
         up, dn = (_payoff_at(payoff, xt) for xt in ends[1:])
         fd = _central(up, dn, bump)[:, None]
         return bel, fd, bel - fd

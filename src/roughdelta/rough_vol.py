@@ -51,11 +51,15 @@ class VolMap:
             raise ValueError("gamma must be non-negative")
 
     def __call__(self, z):
-        return self.alpha + self.gamma * _sigmoid(z)
+        return self.value_and_deriv(z)[0]
 
     def deriv(self, z):
+        return self.value_and_deriv(z)[1]
+
+    def value_and_deriv(self, z):
+        """(g(z), g'(z)) from one sigmoid evaluation."""
         s = _sigmoid(z)
-        return self.gamma * s * (1.0 - s)
+        return self.alpha + self.gamma * s, self.gamma * s * (1.0 - s)
 
 
 def _sigmoid(z):
@@ -106,7 +110,7 @@ def _simulate_batch(
         grid, cfg.h, 1, master_seed, start, count, stream=STREAM_FRACTIONAL
     )
     dWp = wiener_increment_batch(grid, master_seed, start, count, stream=STREAM_STOCK)
-    sigma, _, dsig = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid)
+    sigma, _, dsig = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True)
     sigma, dsig = sigma[:, :, 0], dsig[:, :, 0]
     s = np.empty((count, n + 1))
     k2 = np.empty((count, n + 1))
@@ -117,10 +121,10 @@ def _simulate_batch(
         blk = slice(k0, min(k0 + _STEP_BLOCK, n))
         nxt = slice(blk.start + 1, blk.stop + 1)
         sig, dw, ds = (np.ascontiguousarray(v[:, blk].T) for v in (sigma, dWp, dsig))
-        gs = cfg.g(sig)
+        gs, dg = cfg.g.value_and_deriv(sig)
         step = np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dw)
         sk = np.multiply.accumulate(np.vstack([s[:, k0], step]), axis=0)
-        drive = sk[1:] * cfg.g.deriv(sig) * ds * (dw - gs * dt)
+        drive = sk[1:] * dg * ds * (dw - gs * dt)
         kk = np.empty_like(sk)
         kk[0] = k2[:, k0]
         for j in range(len(step)):

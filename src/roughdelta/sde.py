@@ -155,13 +155,14 @@ def default_epsilon(grid: GridSpec, h) -> float:
 
 
 def solve_batch(
-    drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec, path: bool = False
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Explicit Euler for dX = b_eps(t, X) dt + dB^H from m starts, with the flow of the first.
 
     bh has shape (B, n+1, d) and starts shape (m, d); every start runs on the
     same fBm paths, and the drift is taken at the left endpoint of each step.
-    Returns (x, ends, jac): the states x of starts[0] and the diagonal of its
+    Returns (x, ends, jac): the states x of starts[0] when path is true (else
+    None, so no path-sized array is spent on it) and the diagonal of its
     first-variation flow J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I,
     each of bh's shape, and the terminal states of every start, (m, B, d).
 
@@ -183,9 +184,8 @@ def solve_batch(
         raise ValueError(f"starts have shape {starts.shape}, need (m >= 1, d={d})")
     dt = grid.dt
     t = grid.times
-    x = np.empty_like(bh)
+    x = np.empty_like(bh) if path else None
     jac = np.empty_like(bh)
-    x[:, 0] = starts[0]
     jac[:, 0] = 1.0
     state = np.empty((_STEP_BLOCK + 1, len(starts), B, d))
     flow = np.empty((_STEP_BLOCK + 1, B, d))
@@ -212,7 +212,8 @@ def solve_batch(
                 raise FloatingPointError(
                     f"non-finite state at step {k + 1} from start {start} in batch row {row}"
                 )
-        x[:, k0 + 1 : k0 + nb + 1] = swap(state[1 : nb + 1, 0])
+        if path:  # column k0 again too, which block 0 needs for the start
+            x[:, k0 : k0 + nb + 1] = swap(state[: nb + 1, 0])
         jac[:, k0 + 1 : k0 + nb + 1] = swap(flow[1 : nb + 1])
         state[0] = state[nb]
         flow[0] = flow[nb]

@@ -1,5 +1,8 @@
 """Unit tests for the Malliavin-weight delta estimator."""
 
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +10,13 @@ from hypothesis import strategies as st
 
 from roughdelta.bel import (
     WeightFn,
-    _profile_batch,
+    _bel_block,
     _weight_batch,
     estimate_delta,
     make_payoff,
 )
-from roughdelta.fbm import GridSpec, sample_joint_batch
-from roughdelta.frac_core import HurstParam, SampledFunction
+from roughdelta.fbm import _CONV_ROWS, GridSpec, _causal_conv, sample_joint_batch
+from roughdelta.frac_core import HurstParam, SampledFunction, big_c_h
 from roughdelta.sde import (
     RegimeSwitchDrift,
     ZeroDrift,
@@ -47,6 +50,51 @@ def _dense_profile(h, a, jac, grid):
     g = np.zeros_like(jac)
     g[:, 1:] = np.einsum("mk,bmd->bkd", M, jac[:, :n]) * t[1:, None] ** (h.h - 0.5)
     return g
+
+
+def _profile_batch(h, a, jac, grid):
+    """Byte reference: the whole profile g, shape (B, n+1, d), with g[:, 0] = 0.
+
+    g[:, k] = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] jac[:, m-1], one FFT causal
+    convolution per component over every row of the batch at once.
+    """
+    n = grid.n_steps
+    if jac.shape[1] != n + 1:
+        raise ValueError(f"flow has {jac.shape[1]} time points, grid has {n + 1}")
+    t = grid.times
+    e = 0.5 - h.h
+    cint = (t[1:] ** e - t[:-1] ** e) / e
+    lag = (np.arange(1, n + 1) - 0.5) * grid.dt
+    c2 = a.values(lag) * lag**e
+    scale = t[1:] ** (h.h - 0.5)
+    fc = np.fft.rfft(cint, 2 * n)
+    g = np.zeros_like(jac)
+    for i in range(jac.shape[2]):
+        for rows, y in _causal_conv(jac[:, :n, i], c2, fc, n):
+            g[rows, 1:, i] = y * scale
+    return g
+
+
+def _reference_weight(h, a, jac, dW, grid):
+    """Byte reference for _weight_batch: the whole profile, then one einsum."""
+    g = _profile_batch(h, a, jac, grid)
+    n = grid.n_steps
+    return big_c_h(h) * np.einsum("bkd,bkd->bd", g[:, 1:n], dW[:, 1:n])
+
+
+@dataclass(frozen=True)
+class _Cliff:
+    """b = 0 and Db = 0 up to `level`, (value, slope) above it: a fault the path places."""
+
+    value_above: float
+    slope_above: float
+    level: float
+
+    def value(self, t, x):
+        return np.where(x > self.level, self.value_above, 0.0)
+
+    def derivative(self, t, x):
+        return np.where(x > self.level, self.slope_above, 0.0)
 
 
 def _zero_drift_flows(grid, seed, start, count):
@@ -146,6 +194,20 @@ class TestWeightProfile:
         row_max = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.all(np.abs(g - ref) <= 1e-12 * row_max)
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_chunked_weight_matches_whole_profile_bitwise(self, n, d):
+        # 520 rows are three _CONV_ROWS chunks; forming and reducing g one
+        # chunk at a time keeps the bytes of the whole profile and one einsum
+        assert _CONV_ROWS < 520 // 2
+        grid = GridSpec(1.0, n)
+        rng = np.random.default_rng(n + d)
+        jac = np.exp(np.cumsum(rng.normal(0.0, 0.05, (520, n + 1, d)), axis=1))
+        dW = rng.normal(0.0, grid.dt**0.5, (520, n, d))
+        for a in (WeightFn(1.0), _linear_weight(m=7, c=1.5)):
+            ref = _reference_weight(H01, a, jac, dW, grid)
+            assert _weight_batch(H01, a, jac, dW, grid).tobytes() == ref.tobytes()
+
 
 class TestMalliavinWeight:
     def test_zero_mean(self):
@@ -175,6 +237,22 @@ class TestMalliavinWeight:
         jac[2, 7, 0] = np.inf
         jac[3, 1, 0] = np.nan
         with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 2"):
+            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
+
+    def test_later_chunk_names_its_batch_row(self):
+        # row 300 lies in the second chunk of the profile; the first bad row
+        # of the batch is named, not the first bad row of a chunk
+        grid = GridSpec(1.0, 16)
+        dW, jac = _zero_drift_flows(grid, 21, 0, 520)
+        assert 300 // _CONV_ROWS == 1
+        dW[300, 5, 0] = np.nan
+        dW[310, 2, 0] = np.inf
+        dW[515, 1, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="contribution at step 5 in batch row 300$"):
+            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
+        dW[300, 5, 0] = 0.0
+        jac[300, 7, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 300$"):
             _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
 
 
@@ -227,6 +305,54 @@ class TestEstimateDelta:
         m = mollify(ZeroDrift(), 0.05)
         with pytest.raises(ValueError):
             estimate_delta(m, 0.0, make_payoff("identity"), H01, WeightFn(1.0), grid, 1, 1)
+
+    @pytest.mark.parametrize(
+        "value, slope, fault",
+        [(np.inf, 0.0, "non-finite state at step {k} from start 0"),
+         (0.0, np.inf, "non-finite flow at step {k}")],
+        ids=["kernel", "weight"],
+    )
+    def test_errors_name_seed_and_first_path(self, value, slope, fault):
+        # with b = 0 below the level the state is x0 + bh, so the one path that
+        # climbs over it is known; it lies in the second of two batches.  Its
+        # state (kernel) or its flow (weight) turns non-finite one step after
+        # it crosses, and the message replays it as path start + row.
+        grid = GridSpec(1.0, 16)
+        _, bh = sample_joint_batch(grid, H01, 1, 4, 0, 64)
+        over = bh[:, :, 0] > 2.5
+        (path,) = np.flatnonzero(over.any(axis=1))
+        assert path >= 32
+        k = int(np.argmax(over[path])) + 1
+        drift = _Cliff(value, slope, 2.5)
+        pay = make_payoff("identity")
+        msg = fault.format(k=k) + " in batch row {row} "
+        msg += r"\(master_seed 4, batch row 0 is path {start}\)$"
+        with pytest.raises(FloatingPointError, match=msg.format(row=path - 32, start=32)):
+            estimate_delta(drift, 0.0, pay, H01, WeightFn(1.0), grid, 64, 4, batch_size=32)
+        with pytest.raises(FloatingPointError, match=msg.format(row=0, start=path)):
+            _bel_block(drift, np.zeros((1, 1)), pay, H01, WeightFn(1.0), grid, 4, path, 1)
+
+
+class TestBatchWorkingSet:
+    def test_one_batch_holds_under_four_path_arrays(self):
+        # at its peak a batch holds dW, bh and the flow (at the solve), plus
+        # scratch of _STEP_BLOCK steps or _CONV_ROWS rows; a kept Euler path
+        # or a whole profile g would add a fourth path-sized array
+        B, n = 4096, 256
+        grid = GridSpec(1.0, n)
+        drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
+        run = lambda: estimate_delta(
+            drift, 0.1, make_payoff("digital", 0.2), H01, WeightFn(1.0), grid, B, 3
+        )
+        run()  # sampler tables and FFT plans are built outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 4 * B * (n + 1) * 8
 
 
 _DRIFT = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)

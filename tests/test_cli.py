@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughdelta import cli
+from roughdelta import bel as bel_module, cli
 from roughdelta.bel import WeightFn, _bel_block, estimate_delta, make_payoff
-from roughdelta.fbm import GridSpec, sample_joint_batch
+from roughdelta.fbm import GridSpec
 from roughdelta.fd import _central_diffs, fd_delta, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
 from roughdelta.sde import mollify
@@ -148,14 +148,15 @@ class TestModes:
 
     @pytest.mark.parametrize("batch", [300, 1000])
     def test_delta_sde_one_pass_matches_separate_runs(self, tmp_path, monkeypatch, batch):
-        sample = cli.sample_joint_batch
+        # delta-sde draws each batch inside bel._bel_block
+        sample = bel_module.sample_joint_batch
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "sample_joint_batch", counting)
+        monkeypatch.setattr(bel_module, "sample_joint_batch", counting)
         monkeypatch.setattr(cli, "DEFAULT_BATCH", batch)
         out = tmp_path / "r.csv"
         cfg = RunConfig(
@@ -197,8 +198,7 @@ class TestModes:
         drift = mollify(parse_drift("regime:1,-1,0"), cfg.epsilon)
         pay = make_payoff(payoff, 0.2)
         x0 = np.array([0.1])
-        dW, bh = sample_joint_batch(grid, h, 1, 4, 0, 2000)
-        bel = _bel_block(drift, x0[None], pay, h, WeightFn(1.0), grid, dW, bh)[0][:, 0]
+        bel = _bel_block(drift, x0[None], pay, h, WeightFn(1.0), grid, 4, 0, 2000)[0][:, 0]
         runner = sde_payoff_runner(drift, pay, h, grid)
         fd = _central_diffs(lambda x: runner(x, 4, 0, 2000), x0, 0.1)[:, 0]
         diff = bel - fd

@@ -224,7 +224,7 @@ class TestBatchSplit:
         _, bh = sample_joint_batch(grid, H01, d, seed, 0, count)
         starts = np.random.default_rng(seed).normal(0.0, 0.5, (m, d))
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.1), 0.05)
-        solve = lambda rows: solve_batch(drift, starts, bh[rows], grid)
+        solve = lambda rows: solve_batch(drift, starts, bh[rows], grid, path=True)
         whole = solve(slice(0, count))
         halves = zip(solve(slice(0, cut)), solve(slice(cut, count)))
         for w, (a, b), axis in zip(whole, halves, (0, 1, 0)):

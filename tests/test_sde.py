@@ -140,7 +140,7 @@ class TestEulerSolver:
         grid = GridSpec(1.0, 64)
         _, bh = _path(grid, 1, 1, 0)
         m = mollify(ZeroDrift(), 0.05)
-        x, ends, _ = solve_batch(m, [[0.3]], bh, grid)
+        x, ends, _ = solve_batch(m, [[0.3]], bh, grid, path=True)
         np.testing.assert_allclose(x[0, :, 0], 0.3 + bh[0, :, 0], atol=1e-14)
         assert ends[0].tobytes() == x[:, -1].tobytes()
 
@@ -148,7 +148,7 @@ class TestEulerSolver:
         grid = GridSpec(1.0, 64)
         _, bh = _path(grid, 1, 1, 0)
         m = mollify(RegimeSwitchDrift(0.7, 0.7), 0.05)
-        x, _, _ = solve_batch(m, [[0.0]], bh, grid)
+        x, _, _ = solve_batch(m, [[0.0]], bh, grid, path=True)
         np.testing.assert_allclose(
             x[0, :, 0], 0.7 * grid.times + bh[0, :, 0], atol=1e-12
         )
@@ -161,7 +161,7 @@ class TestEulerSolver:
         for starts in (0.0, [0.0, 0.5], [[0.0]], [[0.0, 0.5, 1.0]], [[[0.0, 0.5]]]):
             with pytest.raises(ValueError, match="d=2"):
                 solve_batch(m, starts, bh, grid)
-        x, ends, jac = solve_batch(m, [[0.0, 0.5]], bh, grid)
+        x, ends, jac = solve_batch(m, [[0.0, 0.5]], bh, grid, path=True)
         assert x.shape == jac.shape == bh.shape
         assert ends.shape == (1, 1, 2)
 
@@ -170,8 +170,8 @@ class TestEulerSolver:
         grid = GridSpec(1.0, 32)
         _, bh = sample_joint_batch(grid, H01, 1, 4, 0, 8)
         m = mollify(RegimeSwitchDrift(1.0, -1.0), 0.05)
-        batch = solve_batch(m, [[0.1], [0.3]], bh, grid)
-        one = solve_batch(m, [[0.1], [0.3]], bh[6:7], grid)
+        batch = solve_batch(m, [[0.1], [0.3]], bh, grid, path=True)
+        one = solve_batch(m, [[0.1], [0.3]], bh[6:7], grid, path=True)
         for whole, single, axis in zip(batch, one, (0, 1, 0)):
             assert np.take(whole, [6], axis=axis).tobytes() == single.tobytes()
 
@@ -185,12 +185,16 @@ class TestEulerSolver:
         _, bh = sample_joint_batch(grid, H01, d, 5, 0, 6)
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.05), default_epsilon(grid, H01))
         starts = np.linspace(-0.2, 0.3, m * d).reshape(m, d)
-        x, ends, jac = solve_batch(drift, starts, bh, grid)
+        x, ends, jac = solve_batch(drift, starts, bh, grid, path=True)
         ref = _euler_reference(drift, starts[0], bh, grid)
         assert x.tobytes() == ref.tobytes()
         assert jac.tobytes() == _flow_reference(drift, ref, grid).tobytes()
         for i in range(m):
             assert ends[i].tobytes() == _euler_reference(drift, starts[i], bh, grid)[:, -1].tobytes()
+        # without the path, ends and the flow keep their bytes
+        lean = solve_batch(drift, starts, bh, grid)
+        assert lean[0] is None
+        assert lean[1].tobytes() == ends.tobytes() and lean[2].tobytes() == jac.tobytes()
 
 
 class TestFlow:
