@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -215,28 +216,45 @@ def _payoff_at(payoff, xt: np.ndarray):
     return payoff(xt[:, 0] if xt.shape[1] == 1 else xt)
 
 
-def _bel_block(drift, starts: np.ndarray, payoff, h, a, grid, master_seed, start, count):
-    """Per-path payoff(X_T) * pi of starts[0], (count, d), and every start's X_T, (m, count, d).
+def _weighted(payoff, xt: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Per-path payoff(xt) * pi, (B, d), from (B, d) terminal states; NaN payoffs abort."""
+    phi = np.asarray(_payoff_at(payoff, xt), dtype=float).reshape(len(pi))
+    if np.any(np.isnan(phi)):
+        raise FloatingPointError("payoff returned NaN")
+    return phi[:, None] * pi
 
-    Draws paths start .. start+count-1 and runs one Euler/flow pass -> weight
-    pi, as in estimate_delta.  bh is dropped once the solve returns, so at most
-    three path-sized arrays (dW, bh, jac) are alive at once.  A kernel or
-    weight FloatingPointError is re-raised with master_seed and start, so the
-    batch row it names is path start + row; NaN payoffs abort.
+
+@contextmanager
+def _replayable(master_seed: int, start: int):
+    """Re-raise a FloatingPointError with master_seed and start appended.
+
+    The batch row r that the error names is then path start + r, which the
+    block at (start + r, 1) replays as its row 0.
     """
-    dW, bh = sample_joint_batch(grid, h, starts.shape[1], master_seed, start, count)
     try:
-        _, ends, jac = solve_batch(drift, starts, bh, grid)
-        del bh
-        pi = _weight_batch(h, a, jac, dW, grid)
+        yield
     except FloatingPointError as err:
         raise FloatingPointError(
             f"{err} (master_seed {master_seed}, batch row 0 is path {start})"
         ) from err
-    phi = np.asarray(_payoff_at(payoff, ends[0]), dtype=float).reshape(len(pi))
-    if np.any(np.isnan(phi)):
-        raise FloatingPointError("payoff returned NaN")
-    return phi[:, None] * pi, ends
+
+
+def _bel_block(drift, starts: np.ndarray, h, a, grid, master_seed, start, count):
+    """Weight pi of starts[0], (count, d), and every start's X_T, (m, count, d).
+
+    Draws paths start .. start+count-1 and runs one Euler/flow pass -> weight
+    pi, as in estimate_delta; callers form payoff * pi with _weighted, so one
+    pi can serve several payoffs and, where the flows agree, several starts.
+    bh is dropped once the solve returns, so at most three path-sized arrays
+    (dW, bh, jac) are alive at once.  A kernel or weight FloatingPointError is
+    re-raised with master_seed and start, so the batch row it names is path
+    start + row.
+    """
+    dW, bh = sample_joint_batch(grid, h, starts.shape[1], master_seed, start, count)
+    with _replayable(master_seed, start):
+        _, ends, jac = solve_batch(drift, starts, bh, grid)
+        del bh
+        return _weight_batch(h, a, jac, dW, grid), ends
 
 
 def estimate_delta(
@@ -265,7 +283,8 @@ def estimate_delta(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     def block(start, count):
-        return (_bel_block(drift, x0[None], payoff, h, a, grid, master_seed, start, count)[0],)
+        pi, ends = _bel_block(drift, x0[None], h, a, grid, master_seed, start, count)
+        return (_weighted(payoff, ends[0], pi),)
 
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(

@@ -45,7 +45,7 @@ from .sde import (
     mollify,
 )
 from .bel import (
-    DEFAULT_BATCH, PAYOFF_NAMES, WeightFn, _bel_block, _mc_mean, _payoff_at, estimate_delta,
+    DEFAULT_BATCH, PAYOFF_NAMES, WeightFn, _bel_block, _mc_mean, _payoff_at, _weighted,
     make_payoff,
 )
 from .rough_vol import RVConfig, VolMap, sbel_delta
@@ -264,7 +264,8 @@ def _run_delta_sde(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
     starts = np.stack([x0, x0 + bump, x0 - bump])
 
     def block(start, count):
-        bel, ends = _bel_block(drift, starts, payoff, h, a, grid, cfg.seed, start, count)
+        pi, ends = _bel_block(drift, starts, h, a, grid, cfg.seed, start, count)
+        bel = _weighted(payoff, ends[0], pi)
         up, dn = (_payoff_at(payoff, xt) for xt in ends[1:])
         fd = _central(up, dn, bump)[:, None]
         return bel, fd, bel - fd
@@ -305,53 +306,34 @@ def _run_delta_rv(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
 
 
 def _validate_rows(cfg: RunConfig):
-    """Desk-scale property suite; every row carries a target and tolerance."""
+    """Desk-scale property suite; every row carries a target and tolerance.
+
+    The two gaussian_delta rows come from one _mc_mean pass that shares each
+    batch's draw, solve and weight between them (see the comment there).
+    """
     rows = []
     h = HurstParam(0.1)
 
     # Exact-covariance sampler against the analytic covariance.
     grid = GridSpec(1.0, 32)
     vals = sample_cholesky_batch(grid, h, cfg.seed, 0, 4000)
-    rep = covariance_report(vals[:, 1:], grid.times[1:], h)
-    rows.append(
-        _row(
-            "cholesky_cov_max_dev",
-            "se_units",
-            rep.max_deviation_se,
-            None,
-            4000,
-            target=0.0,
-            tol=5.0,
-        )
-    )
+    dev = covariance_report(vals[:, 1:], grid.times[1:], h).max_deviation_se
+    rows.append(_row("cholesky_cov_max_dev", "se_units", dev, None, 4000, target=0.0, tol=5.0))
 
     # Volterra sampler terminal variance against T^{2H}.
     grid = GridSpec(1.0, 256)
     _, bh = sample_joint_batch(grid, h, 1, cfg.seed, 0, 8000)
     v = float(np.var(bh[:, -1, 0], ddof=1))
-    target = 1.0
-    rows.append(
-        _row("volterra_var", "T", v, None, 8000, target=target, tol=0.05 * target)
-    )
+    rows.append(_row("volterra_var", "T", v, None, 8000, target=1.0, tol=0.05))
 
     # Kernel reproduces the covariance: int_0^s K(t,u)K(s,u)du = R(t,s).
     from scipy.integrate import quad
 
     for t, s in ((1.0, 0.5), (0.7, 0.3)):
-        val, _ = quad(
-            lambda u: kernel_kh(h, t, u) * kernel_kh(h, s, u), 0, s, limit=200
-        )
+        val, _ = quad(lambda u: kernel_kh(h, t, u) * kernel_kh(h, s, u), 0, s, limit=200)
         target = cov_rh(h, t, s)
         rows.append(
-            _row(
-                "kernel_identity",
-                f"{t},{s}",
-                val,
-                None,
-                0,
-                target=target,
-                tol=1e-3 * abs(target),
-            )
+            _row("kernel_identity", f"{t},{s}", val, None, 0, target=target, tol=1e-3 * abs(target))
         )
 
     # Fractional integral of a constant has a closed form.
@@ -359,26 +341,14 @@ def _validate_rows(cfg: RunConfig):
     x = np.linspace(0.0, 1.0, n + 1)
     alpha = FracOrder(0.25)
     out = frac_int_left(alpha, SampledFunction(x, np.ones(n + 1)), 0.0)
-    ref = x**0.25 / math.gamma(1.25)
-    rows.append(
-        _row(
-            "frac_int_const",
-            "max_abs_err",
-            float(np.max(np.abs(out.values - ref))),
-            None,
-            0,
-            target=0.0,
-            tol=1e-8,
-        )
-    )
+    err = float(np.max(np.abs(out.values - x**0.25 / math.gamma(1.25))))
+    rows.append(_row("frac_int_const", "max_abs_err", err, None, 0, target=0.0, tol=1e-8))
 
     # Iterated-integral shuffle identity.
     f1 = SampledFunction(x, x)
     f2 = SampledFunction(x, np.ones(n + 1))
     lhs, rhs = shuffle_check(f1, f2, 0.0, 1.0)
-    rows.append(
-        _row("shuffle_identity", "(s,1)", lhs - rhs, None, 0, target=0.0, tol=1e-8)
-    )
+    rows.append(_row("shuffle_identity", "(s,1)", lhs - rhs, None, 0, target=0.0, tol=1e-8))
 
     # Girsanov density has unit mean for a bounded drift.
     grid = GridSpec(1.0, 128)
@@ -386,46 +356,27 @@ def _validate_rows(cfg: RunConfig):
     drift = RegimeSwitchDrift(0.5, -0.5)
     xi = np.exp(girsanov_xi_batch(h, drift, bh[:, :, 0], dW[:, :, 0], grid, 0.0))
     se = float(np.std(xi, ddof=1) / math.sqrt(len(xi)))
-    rows.append(
-        _row(
-            "girsanov_mean", "xi", float(np.mean(xi)), se, 8000, target=1.0, tol=5 * se
-        )
-    )
+    rows.append(_row("girsanov_mean", "xi", float(np.mean(xi)), se, 8000, target=1.0, tol=5 * se))
 
-    # Zero-drift Gaussian deltas: identity payoff and digital payoff.
+    # Zero-drift Gaussian deltas: identity payoff from x0 = 0, digital from
+    # x0 = 0.1.  Both rows share each batch's draw, one solve from both starts
+    # and one weight.  Sharing pi is exact: ZeroDrift.derivative is 0, so every
+    # start's flow is 1.0 bit for bit, and each row has the bits of its own
+    # estimate_delta call.
     grid = GridSpec(1.0, 128)
-    eps = default_epsilon(grid, h)
-    zero = mollify(ZeroDrift(), eps)
+    zero = mollify(ZeroDrift(), default_epsilon(grid, h))
     a = WeightFn(1.0)
-    est = estimate_delta(
-        zero, 0.0, make_payoff("identity"), h, a, grid, 20000, cfg.seed
-    )
-    rows.append(
-        _row(
-            "gaussian_delta",
-            "identity",
-            est.mean[0],
-            est.stderr[0],
-            est.n_paths,
-            target=1.0,
-            tol=5 * est.stderr[0],
+    identity, digital = make_payoff("identity"), make_payoff("digital", 0.3)
+
+    def block(start, count):
+        pi, ends = _bel_block(zero, np.array([[0.0], [0.1]]), h, a, grid, cfg.seed, start, count)
+        return _weighted(identity, ends[0], pi), _weighted(digital, ends[1], pi)
+
+    targets = {"identity": 1.0, "digital": gaussian_digital_delta(0.1, 0.3, 1.0, h)}
+    for (name, target), (mean, se) in zip(targets.items(), _mc_mean(20000, DEFAULT_BATCH, block)):
+        rows.append(
+            _row("gaussian_delta", name, mean[0], se[0], 20000, target=target, tol=5 * se[0])
         )
-    )
-    est = estimate_delta(
-        zero, 0.1, make_payoff("digital", 0.3), h, a, grid, 20000, cfg.seed
-    )
-    target = gaussian_digital_delta(0.1, 0.3, 1.0, h)
-    rows.append(
-        _row(
-            "gaussian_delta",
-            "digital",
-            est.mean[0],
-            est.stderr[0],
-            est.n_paths,
-            target=target,
-            tol=5 * est.stderr[0],
-        )
-    )
     return rows
 
 

@@ -69,23 +69,28 @@ def _normal_block(
     Path p reads the Philox counter block [0, start + p, stream, 0] under the
     key (master_seed, 0), so its numbers depend only on (master_seed, path
     index, stream) and distinct indices or streams never overlap.  One
-    generator serves the whole block: its counter is reset and its buffer
-    cleared before each path.
+    generator serves the whole block: before each path its state is set from
+    one dict of plain ints and lists, which resets the counter and empties
+    the buffer (buffer_pos 4, has_uint32 0) at a fraction of the cost of
+    numpy-array state.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must fit in 64 bits")
     if start < 0:
         raise ValueError("path index must be non-negative")
     bg = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bg)
-    state = bg.state  # fresh, so its buffer is empty (buffer_pos 4, has_uint32 0)
-    counter = state["state"]["counter"]
-    counter[2] = stream
+    normal = np.random.Generator(bg).standard_normal
+    counter = [0, 0, stream, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [master_seed, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     out = np.empty((count, *shape))
-    for p in range(count):
-        counter[1] = start + p
+    for p, row in enumerate(out, start):
+        counter[1] = p
         bg.state = state
-        rng.standard_normal(shape, out=out[p])
+        normal(out=row)
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch
 from .sde import MollifiedDrift, solve_batch
-from .bel import _mc_mean, _payoff_at
+from .bel import _mc_mean, _payoff_at, _replayable
 from .rough_vol import _simulate_batch
 
 __all__ = [
@@ -60,7 +60,9 @@ def fd_delta(
     [phi(x + bump e_i) - phi(x - bump e_i)] / (2 bump) over paths, with the
     same path seed on both sides.  The standard error is computed from the
     per-path paired differences (variance of the difference, not the
-    difference of variances).
+    difference of variances).  A runner's FloatingPointError is re-raised with
+    master_seed and the batch's first path, so the batch row it names is path
+    start + row.
     """
     if bump <= 0:
         raise ValueError("bump must be positive")
@@ -68,7 +70,8 @@ def fd_delta(
 
     def block(start, count):
         run = lambda y: model_runner(y, master_seed, start, count)
-        return (_central_diffs(run, x, bump),)
+        with _replayable(master_seed, start):
+            return (_central_diffs(run, x, bump),)
 
     ((value, stderr),) = _mc_mean(n_paths, batch_size, block)
     return FDEstimate(value=value, stderr=stderr, bump=bump, n_paths=n_paths)
@@ -116,7 +119,7 @@ def sde_payoff_runner(
 
     def run(x, master_seed, start, count):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        _, bh = sample_joint_batch(grid, h, x.size, master_seed, start, count)
+        bh = sample_joint_batch(grid, h, x.size, master_seed, start, count)[1]  # dW freed now
         _, ends, _ = solve_batch(drift, x[None], bh, grid)
         return _payoff_at(payoff, ends[0])
 

@@ -9,8 +9,8 @@ fractional Malliavin weight applied to the vol-factor flow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ from .bel import (
     DeltaEstimate,
     WeightFn,
     _mc_mean,
+    _replayable,
     _weight_batch,
     config_digest,
 )
@@ -131,8 +132,34 @@ def _simulate_batch(
             kk[j + 1] = kk[j] * step[j] + drive[j]
         s[:, nxt], k2[:, nxt], gsig[:, blk] = sk[1:].T, kk[1:].T, gs.T
     if not np.all(np.isfinite(s)):
-        raise FloatingPointError("non-finite stock value in batch")
+        row, step = np.argwhere(~np.isfinite(s))[0]
+        raise FloatingPointError(f"non-finite stock value at step {step} in batch row {row}")
     return s, sigma, k2, dsig, dWp, dW[:, :, 0], gsig
+
+
+def _sbel_block(cfg: RVConfig, payoff, a: WeightFn, grid: GridSpec, master_seed, start, count):
+    """sbel_delta's per-path (payoff * w1, payoff * (w2a + w2b)), (count, 2), as a 1-tuple.
+
+    Kernel, stock, division-guard and weight FloatingPointErrors are re-raised
+    with master_seed and start, so the batch row they name is path start + row.
+    """
+    n = grid.n_steps
+    with _replayable(master_seed, start):
+        s, sigma, k2, dsig, dWp, dWf, gsig = _simulate_batch(cfg, grid, master_seed, start, count)
+        ginv = 1.0 / (s[:, :n] * gsig)
+        if not np.all(np.isfinite(ginv)):
+            row, step = np.argwhere(~np.isfinite(ginv))[0]
+            raise FloatingPointError(
+                f"division guard tripped: S g(sigma) not positive at step {step} in batch row {row}"
+            )
+        av = a.values(grid.times[:n])[None, :]
+        w1 = np.sum(av * ginv * (s[:, :n] / cfg.x1) * dWp, axis=1)
+        w2a = np.sum(av * ginv * k2[:, :n] * dWp, axis=1)
+        w2b = _weight_batch(cfg.h, a, dsig[:, :, None], dWf[:, :, None], grid)[:, 0]
+    phi = np.asarray(payoff(s[:, -1], sigma[:, -1]), dtype=float).reshape(count)
+    if np.any(np.isnan(phi)):
+        raise FloatingPointError("payoff returned NaN")
+    return (np.stack([phi * w1, phi * (w2a + w2b)], axis=1),)
 
 
 def sbel_delta(
@@ -158,25 +185,7 @@ def sbel_delta(
     payoff is a function of the terminal pair and must have finite second
     moment under the simulated law.
     """
-    t = grid.times
-    n = grid.n_steps
-
-    def block(start, count):
-        s, sigma, k2, dsig, dWp, dWf, gsig = _simulate_batch(
-            cfg, grid, master_seed, start, count
-        )
-        ginv = 1.0 / (s[:, :n] * gsig)
-        if not np.all(np.isfinite(ginv)):
-            raise FloatingPointError("division guard tripped: S g(sigma) not positive")
-        av = a.values(t[:n])[None, :]
-        w1 = np.sum(av * ginv * (s[:, :n] / cfg.x1) * dWp, axis=1)
-        w2a = np.sum(av * ginv * k2[:, :n] * dWp, axis=1)
-        w2b = _weight_batch(cfg.h, a, dsig[:, :, None], dWf[:, :, None], grid)[:, 0]
-        phi = np.asarray(payoff(s[:, -1], sigma[:, -1]), dtype=float).reshape(count)
-        if np.any(np.isnan(phi)):
-            raise FloatingPointError("payoff returned NaN")
-        return (np.stack([phi * w1, phi * (w2a + w2b)], axis=1),)
-
+    block = partial(_sbel_block, cfg, payoff, a, grid, master_seed)
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
         grid, cfg.h, master_seed, cfg.mu, cfg.g, cfg.vol_drift, cfg.x1, cfg.x2,

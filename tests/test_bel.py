@@ -16,6 +16,7 @@ from roughdelta.bel import (
     make_payoff,
 )
 from roughdelta.fbm import _CONV_ROWS, GridSpec, _causal_conv, sample_joint_batch
+from roughdelta.fd import sde_payoff_runner
 from roughdelta.frac_core import HurstParam, SampledFunction, big_c_h
 from roughdelta.sde import (
     RegimeSwitchDrift,
@@ -330,29 +331,48 @@ class TestEstimateDelta:
         with pytest.raises(FloatingPointError, match=msg.format(row=path - 32, start=32)):
             estimate_delta(drift, 0.0, pay, H01, WeightFn(1.0), grid, 64, 4, batch_size=32)
         with pytest.raises(FloatingPointError, match=msg.format(row=0, start=path)):
-            _bel_block(drift, np.zeros((1, 1)), pay, H01, WeightFn(1.0), grid, 4, path, 1)
+            _bel_block(drift, np.zeros((1, 1)), H01, WeightFn(1.0), grid, 4, path, 1)
+
+
+def _traced_peak(run) -> int:
+    """Bytes by which one run() raises the traced heap at its peak, after one warm-up run.
+
+    The warm-up builds the sampler tables and FFT plans outside the measurement.
+    """
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestBatchWorkingSet:
+    B, N = 4096, 256
+    DRIFT = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
+
     def test_one_batch_holds_under_four_path_arrays(self):
         # at its peak a batch holds dW, bh and the flow (at the solve), plus
         # scratch of _STEP_BLOCK steps or _CONV_ROWS rows; a kept Euler path
         # or a whole profile g would add a fourth path-sized array
-        B, n = 4096, 256
+        B, n = self.B, self.N
         grid = GridSpec(1.0, n)
-        drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
-        run = lambda: estimate_delta(
-            drift, 0.1, make_payoff("digital", 0.2), H01, WeightFn(1.0), grid, B, 3
+        peak = _traced_peak(
+            lambda: estimate_delta(
+                self.DRIFT, 0.1, make_payoff("digital", 0.2), H01, WeightFn(1.0), grid, B, 3
+            )
         )
-        run()  # sampler tables and FFT plans are built outside the measurement
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base < 4 * B * (n + 1) * 8
+        assert peak < 4 * B * (n + 1) * 8
+
+    def test_fd_runner_holds_under_three_path_arrays(self):
+        # the runner needs bh and the terminal states; the sampler's dW is
+        # dropped before the solve, which adds only its flow
+        B, n = self.B, self.N
+        runner = sde_payoff_runner(self.DRIFT, make_payoff("digital", 0.2), H01, GridSpec(1.0, n))
+        peak = _traced_peak(lambda: runner(np.array([0.1]), 3, 0, B))
+        assert peak < 3 * B * (n + 1) * 8
 
 
 _DRIFT = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughdelta import bel as bel_module, cli
-from roughdelta.bel import WeightFn, _bel_block, estimate_delta, make_payoff
+from roughdelta.bel import WeightFn, _bel_block, _weighted, estimate_delta, make_payoff
 from roughdelta.fbm import GridSpec
 from roughdelta.fd import _central_diffs, fd_delta, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
@@ -131,6 +131,19 @@ def _read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def _count_draws(monkeypatch):
+    """List that records each draw of a delta batch (bel._bel_block's sampler call)."""
+    sample = bel_module.sample_joint_batch
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(bel_module, "sample_joint_batch", counting)
+    return calls
+
+
 class TestModes:
     def test_delta_sde_identity(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -148,15 +161,7 @@ class TestModes:
 
     @pytest.mark.parametrize("batch", [300, 1000])
     def test_delta_sde_one_pass_matches_separate_runs(self, tmp_path, monkeypatch, batch):
-        # delta-sde draws each batch inside bel._bel_block
-        sample = bel_module.sample_joint_batch
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return sample(*args, **kwargs)
-
-        monkeypatch.setattr(bel_module, "sample_joint_batch", counting)
+        calls = _count_draws(monkeypatch)
         monkeypatch.setattr(cli, "DEFAULT_BATCH", batch)
         out = tmp_path / "r.csv"
         cfg = RunConfig(
@@ -198,7 +203,8 @@ class TestModes:
         drift = mollify(parse_drift("regime:1,-1,0"), cfg.epsilon)
         pay = make_payoff(payoff, 0.2)
         x0 = np.array([0.1])
-        bel = _bel_block(drift, x0[None], pay, h, WeightFn(1.0), grid, 4, 0, 2000)[0][:, 0]
+        pi, ends = _bel_block(drift, x0[None], h, WeightFn(1.0), grid, 4, 0, 2000)
+        bel = _weighted(pay, ends[0], pi)[:, 0]
         runner = sde_payoff_runner(drift, pay, h, grid)
         fd = _central_diffs(lambda x: runner(x, 4, 0, 2000), x0, 0.1)[:, 0]
         diff = bel - fd
@@ -209,6 +215,35 @@ class TestModes:
         assert float(gap["tolerance"]) == 3 * float(gap["stderr"])
         hyp = math.hypot(float(byq["delta_bel"]["stderr"]), float(byq["delta_fd"]["stderr"]))
         assert abs(se / hyp - 1.0) > 0.01
+
+    def test_validate_every_row_passes(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert run(RunConfig(mode="validate", seed=1, out=str(out))) == 0
+        rows = _read_rows(out)
+        assert len(rows) == 9
+        assert all(r["pass"] == "True" for r in rows), rows
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_validate_gaussian_rows_share_one_pass(self, tmp_path, monkeypatch):
+        # both gaussian_delta rows come from one draw, solve and weight per
+        # batch, and each keeps the bits of its own estimate_delta call
+        calls = _count_draws(monkeypatch)
+        out = tmp_path / "v.csv"
+        run(RunConfig(mode="validate", seed=7, out=str(out)))
+        assert len(calls) == math.ceil(20000 / cli.DEFAULT_BATCH)
+        rows = {r["component"]: r for r in _read_rows(out) if r["quantity"] == "gaussian_delta"}
+
+        h = HurstParam(0.1)
+        grid = GridSpec(1.0, 128)
+        zero = mollify(ZeroDrift(), cli.default_epsilon(grid, h))
+        for name, x0, payoff in (
+            ("identity", 0.0, make_payoff("identity")),
+            ("digital", 0.1, make_payoff("digital", 0.3)),
+        ):
+            est = estimate_delta(zero, x0, payoff, h, WeightFn(1.0), grid, 20000, 7)
+            assert float(rows[name]["estimate"]) == est.mean[0]
+            assert float(rows[name]["stderr"]) == est.stderr[0]
+            assert rows[name]["n_paths"] == "20000"
 
     def test_resolved_config_round_trips(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -1,5 +1,6 @@
 """Unit tests for the fBm samplers and the reproducible path RNG."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -88,6 +89,38 @@ class TestGridSpec:
         assert g.dt == 0.5
 
 
+def _normal_block_reference(master_seed, start, count, shape, stream):
+    """The earlier per-path loop of _normal_block, with numpy-array Philox state."""
+    bg = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bg)
+    state = bg.state
+    counter = state["state"]["counter"]
+    counter[2] = stream
+    out = np.empty((count, *shape))
+    for p in range(count):
+        counter[1] = start + p
+        bg.state = state
+        rng.standard_normal(shape, out=out[p])
+    return out
+
+
+# (master_seed, start, count, shape, stream) -> sha256 of the block's bytes
+_PINNED_STREAMS = [
+    (
+        (0, 0, 4, (128, 1), 0),
+        "c4c6c3828bad375e5e3c99684fe4ce3adb8b9604d37219ec4b8d14b315f21cc1",
+    ),
+    (
+        (2**64 - 5, 10**12, 3, (7, 2), 1),
+        "646b2270d2336a868fb0c0a5d4b6d89f0fa430ddbe7db7a187e73f8fae41995d",
+    ),
+    (
+        (12345, 4095, 2, (1024, 1), 0),
+        "9b7bd5f50647f8fe8432d0c51affbcef720ecb226e6425372c40c5d874073b17",
+    ),
+]
+
+
 class TestPathSeed:
     """The (master_seed, path index, stream) address of a path's normals."""
 
@@ -129,6 +162,14 @@ class TestPathSeed:
             ]
             block = _normal_block(seed, 5, 4, shape, stream)
             assert block.tobytes() == np.stack(ref).tobytes()
+
+    @pytest.mark.parametrize("args, digest", _PINNED_STREAMS)
+    def test_stream_is_pinned(self, args, digest):
+        # a silent change of the RNG stream fails here: the block keeps the
+        # bytes of the per-path loop it replaced and their recorded sha256
+        block = _normal_block(*args)
+        assert block.tobytes() == _normal_block_reference(*args).tobytes()
+        assert hashlib.sha256(block.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("s1, s2", [(2**63 + 1, 2**63 + 2), (2**64 - 1, 0)])
     def test_high_seeds_do_not_alias(self, s1, s2):

@@ -8,9 +8,10 @@ from scipy.stats import norm
 
 from roughdelta.bel import make_payoff
 from roughdelta.fbm import GridSpec
-from roughdelta.fd import fd_delta, gaussian_digital_delta, sde_payoff_runner
+from roughdelta.fd import fd_delta, gaussian_digital_delta, rv_payoff_runner, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
 from roughdelta.sde import RegimeSwitchDrift, ZeroDrift, mollify
+from test_rough_vol import _FAULT_GRID, _REPLAY, _fault_message
 
 H01 = HurstParam(0.1)
 
@@ -81,3 +82,24 @@ class TestFDDelta:
         for e in rest:
             np.testing.assert_array_equal(e.value, e1.value)
             np.testing.assert_array_equal(e.stderr, e1.stderr)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow past the fault
+class TestReplayableErrors:
+    @pytest.mark.parametrize("case", ["kernel", "stock"])
+    def test_errors_name_seed_and_first_path(self, case):
+        # kernel: the SDE runner on the vol factor's own equation from x2;
+        # stock: the two-factor runner.  The bump is too small to move the
+        # fault, so the up side, which runs first, meets it on the same path.
+        seed, cfg, path, msg = _fault_message(case)
+        if case == "kernel":
+            runner = sde_payoff_runner(cfg.vol_drift, make_payoff("identity"), H01, _FAULT_GRID)
+            x = np.array([cfg.x2])
+        else:
+            runner = rv_payoff_runner(cfg, lambda s, sigma: s, _FAULT_GRID)
+            x = np.array([cfg.x1, cfg.x2])
+        first = (msg + _REPLAY).format(row=path - 32, seed=seed, start=32)
+        with pytest.raises(FloatingPointError, match=first):
+            fd_delta(runner, x, 1e-9, 64, seed, batch_size=32)
+        with pytest.raises(FloatingPointError, match=msg.format(row=0) + "$"):
+            runner(x, seed, path, 1)

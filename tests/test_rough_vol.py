@@ -1,6 +1,7 @@
 """Unit tests for the rough stochastic volatility model and its delta weights."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from roughdelta.bel import WeightFn
 from roughdelta.frac_core import SampledFunction
-from roughdelta.fbm import GridSpec
+from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.frac_core import HurstParam
-from roughdelta.rough_vol import RVConfig, VolMap, _simulate_batch, sbel_delta
+from roughdelta.rough_vol import RVConfig, VolMap, _sbel_block, _simulate_batch, sbel_delta
 from roughdelta.sde import _STEP_BLOCK, RegimeSwitchDrift, ZeroDrift, mollify
+from test_bel import _Cliff
 
 H01 = HurstParam(0.1)
 
@@ -172,6 +174,67 @@ class TestSbelDelta:
         for e in rest:
             np.testing.assert_array_equal(e.mean, e1.mean)
             np.testing.assert_array_equal(e.stderr, e1.stderr)
+
+
+_FAULT_GRID = GridSpec(1.0, 16)
+
+
+def _fault(case):
+    """(seed, cfg, hit, message) of a fault that exactly one of paths 0 .. 63 meets.
+
+    hit[p, k] is true where path p has met the fault by step k, and the
+    message is the fault's, to be formatted with the first such step k.
+    """
+    if case in ("kernel", "weight"):
+        # b = 0 below the level, so the vol state is x2 + bh; the state
+        # (kernel) or its flow (weight) turns non-finite one step after the
+        # path crosses the level
+        _, bh = sample_joint_batch(_FAULT_GRID, H01, 1, 4, 0, 64)
+        hit = np.pad(bh[:, :-1, 0] > 2.5, ((0, 0), (1, 0)))
+        if case == "kernel":
+            cliff, fault = _Cliff(np.inf, 0.0, 2.5), "non-finite state at step {k} from start 0"
+        else:
+            cliff, fault = _Cliff(0.0, np.inf, 2.5), "non-finite flow at step {k}"
+        return 4, replace(_cfg(gamma=0.3), vol_drift=cliff), hit, fault
+    # s scales with x1: at x1 = max / 2.6 the stock overflows where s > 2.6 at
+    # x1 = 1, and at x1 = 1 / (0.13 max) S g(sigma) underflows the guard where
+    # s g(sigma) < 0.13
+    big = np.finfo(float).max
+    seed = 4 if case == "stock" else 5
+    s, *_, gsig = _simulate_batch(_cfg(gamma=0.3), _FAULT_GRID, seed, 0, 64)
+    if case == "stock":
+        return seed, _cfg(gamma=0.3, x1=big / 2.6), s > 2.6, "non-finite stock value at step {k}"
+    fault = "division guard tripped: S g(sigma) not positive at step {k}"
+    return seed, _cfg(gamma=0.3, x1=1.0 / (0.13 * big)), s[:, :-1] * gsig < 0.13, fault
+
+
+# what a batch's re-raise appends to the fault's message
+_REPLAY = r" \(master_seed {seed}, batch row 0 is path {start}\)$"
+
+
+def _fault_message(case):
+    """(seed, cfg, path, pattern) of _fault(case); the pattern wants the batch row."""
+    seed, cfg, hit, fault = _fault(case)
+    (path,) = np.flatnonzero(hit.any(axis=1))
+    assert path >= 32  # in the second of two batches
+    fault = fault.format(k=int(np.argmax(hit[path])))
+    return seed, cfg, path, re.escape(fault) + " in batch row {row}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf past the fault
+class TestReplayableErrors:
+    @pytest.mark.parametrize("case", ["kernel", "weight", "stock", "guard"])
+    def test_errors_name_seed_and_first_path(self, case):
+        # the message replays the path as start + row, and the block at
+        # (path, 1) meets the same fault in its row 0
+        seed, cfg, path, msg = _fault_message(case)
+        msg += _REPLAY
+        payoff = lambda s, sigma: s
+        first = msg.format(row=path - 32, seed=seed, start=32)
+        with pytest.raises(FloatingPointError, match=first):
+            sbel_delta(cfg, payoff, WeightFn(1.0), _FAULT_GRID, 64, seed, batch_size=32)
+        with pytest.raises(FloatingPointError, match=msg.format(row=0, seed=seed, start=path)):
+            _sbel_block(cfg, payoff, WeightFn(1.0), _FAULT_GRID, seed, path, 1)
 
 
 _X = np.linspace(0.0, 1.0, 5)
