@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .frac_core import HurstParam, SampledFunction, big_c_h
-from .fbm import GridSpec, _causal_conv, sample_joint_batch
+from .frac_core import HurstParam, SampledFunction, _causal_conv, big_c_h
+from .fbm import GridSpec, sample_joint_batch
 from .sde import MollifiedDrift, solve_batch
 
 __all__ = [
@@ -105,9 +105,9 @@ def _weight_batch(
     integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] = a(u) u^{1/2-H} at the
     midpoint lag u = (m-1/2) dt, and the flow is taken at the left index m-1 to
     keep the integrand adapted.  This causal convolution goes through
-    fbm._causal_conv, and g is formed and reduced one chunk of its rows at a
-    time, so the full (B, n+1, d) profile is never built and the bits of a
-    path's weight do not depend on the batch.
+    frac_core._causal_conv, and g is formed and reduced one chunk of its rows
+    at a time, so the full (B, n+1, d) profile is never built and the bits of
+    a path's weight do not depend on the batch.
 
     Left-point evaluation keeps the Ito sum adapted: g(s_k) multiplies the
     Wiener increment over [t_k, t_{k+1}].  A non-finite flow aborts before the

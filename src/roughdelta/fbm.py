@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .frac_core import HurstParam, c_h, cov_rh, _kernel_vec
+from .frac_core import HurstParam, _causal_conv, _kernel_vec, c_h, cov_rh
 
 __all__ = [
     "GridSpec",
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _MAX_CHOLESKY_STEPS = 4096
-_CONV_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -92,20 +91,6 @@ def _normal_block(
         bg.state = state
         normal(out=row)
     return out
-
-
-def _causal_conv(rows: np.ndarray, weight: np.ndarray, kernel_rfft: np.ndarray, n: int):
-    """Yield (chunk, y) with y[:, k] = sum_{j<=k} kernel[k-j] weight[j] rows[chunk, j], k < n.
-
-    kernel_rfft is np.fft.rfft(kernel, 2 n): zero padding to 2n makes the
-    circular product causal.  The rows go through real FFTs _CONV_ROWS at a
-    time to bound memory, and each row is transformed on its own, so its bits
-    do not depend on the batch it is in.
-    """
-    for r in range(0, len(rows), _CONV_ROWS):
-        chunk = slice(r, r + _CONV_ROWS)
-        f = np.fft.rfft(rows[chunk] * weight, 2 * n)
-        yield chunk, np.fft.irfft(f * kernel_rfft, 2 * n)[:, :n]
 
 
 # Per-step tables of the split sampler; see _split_tables.

@@ -2,8 +2,13 @@
 
 Scalar special-function constants, the fractional Brownian motion (fBm)
 covariance and its Volterra kernel, Riemann-Liouville fractional integral and
-derivative operators on grids, and an iterated-integral (shuffle) identity
-checker.
+derivative operators and the inverse kernel transform on uniform grids, and an
+iterated-integral (shuffle) identity checker.
+
+Every fractional operator is one causal FFT convolution with a lag kernel,
+through _causal_conv, the primitive the fBm sampler and the Malliavin weight
+profile share: on a uniform grid, product-integration coefficients depend
+only on the lag i - j.
 
 All operations are pure functions of their inputs and safe to call
 concurrently.
@@ -27,11 +32,12 @@ __all__ = [
     "big_c_h",
     "kernel_kh",
     "frac_int_left",
-    "frac_int_left_matrix",
     "frac_deriv_left",
     "kh_inverse_ac",
     "shuffle_check",
 ]
+
+_CONV_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -157,61 +163,90 @@ def kernel_kh(h: HurstParam, t: float, s: float) -> float:
     return float(_kernel_vec(h.h, t, s))
 
 
-def _cell_coeffs_int(alpha: float, x: np.ndarray):
-    """Product-integration coefficient matrices for the left fractional integral.
+def _causal_conv(rows: np.ndarray, weight: np.ndarray, kernel_rfft: np.ndarray, n: int):
+    """Yield (chunk, y) with y[:, k] = sum_{j<=k} kernel[k-j] weight[j] rows[chunk, j], k < n.
 
-    For piecewise-linear data on grid x, the integral over cell [x_j, x_{j+1}]
-    against the kernel (x_i - y)^{alpha-1} is exact.  Returns (W0, W1) such
-    that I^alpha f(x_i) = sum_j W0[i,j] f_j + W1[i,j] f_{j+1}.
+    kernel_rfft is np.fft.rfft(kernel, 2 n): zero padding to 2n makes the
+    circular product causal.  The rows go through real FFTs _CONV_ROWS at a
+    time to bound memory, and each row is transformed on its own, so its bits
+    do not depend on the batch it is in.
     """
-    X = x[:, None]
-    Y0 = x[None, :-1]
-    Y1 = x[None, 1:]
-    H = Y1 - Y0
-    mask = X >= Y1  # cells [x_j, x_{j+1}] entirely left of the evaluation point
-    A = np.where(mask, X - Y1, 1.0)
-    B = np.where(mask, X - Y0, 1.0)
-    P1 = (B**alpha - A**alpha) / alpha
-    P2 = (B ** (alpha + 1) - A ** (alpha + 1)) / (alpha + 1)
-    g = 1.0 / math.gamma(alpha)
-    W0 = np.where(mask, g * (P2 - A * P1) / H, 0.0)
-    W1 = np.where(mask, g * (B * P1 - P2) / H, 0.0)
-    return W0, W1
+    for r in range(0, len(rows), _CONV_ROWS):
+        chunk = slice(r, r + _CONV_ROWS)
+        f = np.fft.rfft(rows[chunk] * weight, 2 * n)
+        yield chunk, np.fft.irfft(f * kernel_rfft, 2 * n)[:, :n]
 
 
-def frac_int_left_matrix(alpha: FracOrder, grid: np.ndarray, a: float) -> np.ndarray:
-    """Linear operator L with (I^alpha_{a+} f)(grid) = L @ f(grid).
-
-    Exposed separately so that per-path transforms (which reuse one grid for
-    many integrands) cost a single matrix-vector product.
-    """
-    grid = np.asarray(grid, dtype=float)
+def _uniform_step(grid: np.ndarray, a: float) -> float:
+    """Step of a uniform grid that starts at a, up to the rounding of its
+    points (np.linspace, GridSpec.times); ValueError for any other grid."""
     if grid.size == 0:
         raise ValueError("empty grid")
     if grid[0] != a:
         raise ValueError(f"lower endpoint a={a} must equal grid start {grid[0]}")
-    n = grid.size
-    L = np.zeros((n, n))
-    if n > 1:
-        W0, W1 = _cell_coeffs_int(alpha.alpha, grid)
-        L[:, :-1] += W0
-        L[:, 1:] += W1
-    return L
+    if grid.size == 1:
+        return 1.0  # no cell: any step gives the (zero) integral
+    dx = (grid[-1] - grid[0]) / (grid.size - 1)
+    steps = np.diff(grid)
+    if np.abs(steps - dx).max() > 4 * np.finfo(float).eps * np.abs(grid).max():
+        raise ValueError(f"fractional operators need a uniform grid; grid spacings "
+                         f"range over [{steps.min()}, {steps.max()}]")
+    return dx
+
+
+def _int_cells(alpha: float, dx: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product-integration coefficients (W0, W1) of I^alpha by lag m = 0..n.
+
+    For piecewise-linear data on a uniform grid of step dx, the integral over
+    cell [x_j, x_{j+1}] against the kernel (x_i - y)^{alpha-1} is exact and
+    equals W0[m] f_j + W1[m] f_{j+1}, where m = i - j and A = (m-1) dx and
+    B = m dx are the distances from x_i to the cell ends.  The cell at lag 0
+    is not left of x_i: W0[0] = W1[0] = 0.
+    """
+    A = np.arange(n) * dx
+    B = np.arange(1, n + 1) * dx
+    P1 = (B**alpha - A**alpha) / alpha
+    P2 = (B ** (alpha + 1) - A ** (alpha + 1)) / (alpha + 1)
+    g = 1.0 / math.gamma(alpha)
+    return np.append(0.0, g * (P2 - A * P1) / dx), np.append(0.0, g * (B * P1 - P2) / dx)
+
+
+def _lag_conv(rows: np.ndarray, weight, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """sum_{j<=i} kappa[i-j] f_j per row, f = weight * row and kappa[m] = w0[m] + w1[m+1].
+
+    Moving each cell's f_{j+1} term onto f_j turns the cell sum
+    sum_{j<i} w0[i-j] f_j + w1[i-j] f_{j+1} into this one causal convolution,
+    plus w1[i+1] f_0, the term of the cell j = -1 that does not exist; the
+    caller subtracts it where f_0 is not 0.
+    """
+    n = rows.shape[-1]
+    kernel_rfft = np.fft.rfft(w0[:n] + w1[1:], 2 * n)
+    out = np.empty(rows.shape)
+    for chunk, y in _causal_conv(rows, weight, kernel_rfft, n):
+        out[chunk] = y
+    return out
+
+
+def _cell_sum(f: np.ndarray, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """sum_{j<i} w0[i-j] f_j + w1[i-j] f_{j+1} for every i, f sampled on n points."""
+    return _lag_conv(f[None, :], 1.0, w0, w1)[0] - w1[1:] * f[0]
 
 
 def frac_int_left(alpha: FracOrder, f: SampledFunction, a: float) -> SampledFunction:
-    """Left-sided Riemann-Liouville fractional integral I^alpha_{a+} f on f's grid.
+    """Left-sided Riemann-Liouville fractional integral I^alpha_{a+} f on f's uniform grid.
 
     The sampled data is treated as piecewise linear and the power kernel is
     integrated exactly on each cell (product integration), so the result is
-    exact for affine f and second-order accurate for smooth f.
+    exact for affine f and second-order accurate for smooth f.  The cell
+    coefficients depend only on the lag, so the sum over cells is one causal
+    FFT convolution, O(N log N).
     """
-    L = frac_int_left_matrix(alpha, f.grid, a)
-    return SampledFunction(f.grid, L @ f.values)
+    dx = _uniform_step(f.grid, a)
+    return SampledFunction(f.grid, _cell_sum(f.values, *_int_cells(alpha.alpha, dx, f.grid.size)))
 
 
 def frac_deriv_left(alpha: FracOrder, f: SampledFunction, a: float) -> SampledFunction:
-    """Left-sided Riemann-Liouville fractional derivative D^alpha_{a+} f.
+    """Left-sided Riemann-Liouville fractional derivative D^alpha_{a+} f on f's uniform grid.
 
     Uses the Marchaud-style representation
 
@@ -220,89 +255,62 @@ def frac_deriv_left(alpha: FracOrder, f: SampledFunction, a: float) -> SampledFu
                        / Gamma(1-alpha)
 
     with the increment integral product-integrated against piecewise-linear
-    data.  At x = a the formula value is 0 when f(a) = 0 (the one-sided limit)
-    and +/-inf otherwise.  alpha = 1 degrades to the ordinary derivative.
+    data, as a lag convolution like frac_int_left's.  At x = a the formula
+    value is 0 when f(a) = 0 (the one-sided limit) and +/-inf otherwise.
+    alpha = 1 degrades to the ordinary derivative.
     """
     grid = f.grid
     vals = f.values
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    if grid[0] != a:
-        raise ValueError(f"lower endpoint a={a} must equal grid start {grid[0]}")
+    dx = _uniform_step(grid, a)
     al = alpha.alpha
     if al == 1.0:
         return SampledFunction(grid, np.gradient(vals, grid))
     n = grid.size
-    out = np.zeros(n)
-    ginv = 1.0 / math.gamma(1 - al)
-    X = grid[:, None]
-    Y0 = grid[None, :-1]
-    Y1 = grid[None, 1:]
-    H = Y1 - Y0
-    strict = X > Y1  # cells strictly left of x_i
-    A = np.where(strict, X - Y1, 1.0)
-    B = np.where(strict, X - Y0, 1.0)
+    # cells strictly left of x_i, at lags m = i - j >= 2; lags 0 and 1 get 0
+    A = np.arange(1, n) * dx
+    B = np.arange(2, n + 1) * dx
     Q1 = (A ** (-al) - B ** (-al)) / al
     Qm = (B ** (1 - al) - A ** (1 - al)) / (1 - al)
-    # integral of (f(x)-f(y)) u^{-alpha-1} over interior cells
-    contrib = (
-        vals[:, None] * Q1
-        - (vals[None, :-1] * (Qm - A * Q1) + vals[None, 1:] * (B * Q1 - Qm)) / H
-    )
-    inner = np.sum(np.where(strict, contrib, 0.0), axis=1)
+    Q1, W0, W1 = (np.append([0.0, 0.0], w) for w in (Q1, (Qm - A * Q1) / dx, (B * Q1 - Qm) / dx))
+    # integral of (f(x)-f(y)) u^{-alpha-1} over those cells
+    inner = vals * np.cumsum(Q1[:n]) - _cell_sum(vals, W0, W1)
     # cell adjacent to x_i: A = 0, the f(x)-f(y) ~ slope * u cancellation is exact
-    i = np.arange(1, n)
-    hlast = grid[i] - grid[i - 1]
-    inner[1:] += (vals[i] - vals[i - 1]) * hlast**-al / (1 - al)
-    out[1:] = ginv * (vals[1:] * (grid[1:] - a) ** -al + al * inner[1:])
+    inner[1:] += (vals[1:] - vals[:-1]) * dx**-al / (1 - al)
+    out = np.zeros(n)
+    out[1:] = (vals[1:] * (grid[1:] - a) ** -al + al * inner[1:]) / math.gamma(1 - al)
     out[0] = 0.0 if vals[0] == 0.0 else math.copysign(math.inf, vals[0])
     if np.any(np.isnan(out)):
         raise FloatingPointError("NaN in fractional derivative output")
     return SampledFunction(grid, out)
 
 
-def _kh_inverse_norm(h: HurstParam) -> float:
-    """Prefactor 1 / (c_H Gamma(H + 1/2)) of the inverse kernel transform.
+def _kh_inverse_rows(h: HurstParam, grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Inverse kernel transform of every row, on a uniform grid from 0; rows (B, len(grid)).
 
-    With this normalization the composition with the kernel is the identity:
-    integrating K_H(t, .) against the transform of phi recovers phi(t)
-    (verified for power functions, where both sides are closed-form).
+    norm t^{H-1/2} I^{1/2-H}_{0+}(t^{1/2-H} row), one lag convolution per row,
+    so a row's bits do not depend on its batch.  t^{1/2-H} is 0 at t = 0, so
+    the f_0 edge term drops out.  With norm = 1 / (c_H Gamma(H + 1/2)) the
+    composition with the kernel is the identity: integrating K_H(t, .)
+    against the transform of phi' recovers phi(t) (verified for power
+    functions, where both sides are closed-form).
     """
-    return 1.0 / (c_h(h) * math.gamma(h.h + 0.5))
+    dx = _uniform_step(grid, 0.0)
+    hv = h.h
+    left = np.append(0.0, grid[1:] ** (hv - 0.5) / (c_h(h) * math.gamma(hv + 0.5)))
+    right = np.append(0.0, grid[1:] ** (0.5 - hv))
+    return left * _lag_conv(rows, right, *_int_cells(0.5 - hv, dx, grid.size))
 
 
 def kh_inverse_ac(h: HurstParam, phi_prime: SampledFunction) -> SampledFunction:
-    """Inverse kernel transform for absolutely continuous inputs.
+    """Inverse kernel transform for absolutely continuous inputs, on a uniform grid.
 
     Computes s -> s^{H-1/2} (I^{1/2-H}_{0+} g)(s) / (c_H Gamma(H + 1/2)) with
     g(s) = s^{1/2-H} phi'(s), where phi' is the sampled derivative of the
     transformed function.  The value at s = 0 is set to 0, the limiting value
-    for bounded phi'.
+    for bounded phi'.  It is the batch of one of the transform Girsanov uses.
     """
     grid = phi_prime.grid
-    if grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
-    hv = h.h
-    g = np.zeros_like(phi_prime.values)
-    g[1:] = grid[1:] ** (0.5 - hv) * phi_prime.values[1:]
-    inner = frac_int_left(FracOrder(0.5 - hv), SampledFunction(grid, g), 0.0)
-    out = np.zeros_like(g)
-    out[1:] = grid[1:] ** (hv - 0.5) * inner.values[1:]
-    return SampledFunction(grid, _kh_inverse_norm(h) * out)
-
-
-def kh_inverse_matrix(h: HurstParam, grid: np.ndarray) -> np.ndarray:
-    """Matrix form of :func:`kh_inverse_ac` on a fixed grid (row 0 is zero)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
-    hv = h.h
-    L = frac_int_left_matrix(FracOrder(0.5 - hv), grid, 0.0)
-    left = np.zeros_like(grid)
-    left[1:] = grid[1:] ** (hv - 0.5)
-    right = np.zeros_like(grid)
-    right[1:] = grid[1:] ** (0.5 - hv)
-    return _kh_inverse_norm(h) * left[:, None] * L * right[None, :]
+    return SampledFunction(grid, _kh_inverse_rows(h, grid, phi_prime.values[None, :])[0])
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

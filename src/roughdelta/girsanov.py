@@ -3,7 +3,9 @@
 The density reweights zero-drift fractional paths so that the shifted process
 is again an fBm under the new measure; its sample mean must be 1 for bounded
 drifts.  This exercises the inverse kernel transform end to end and is kept
-as a validation-tier tool rather than a production importance sampler.
+as a validation-tier tool rather than a production importance sampler.  The
+transform is frac_core's lag convolution, applied to each path on its own, so
+a path's log-density has the same bits in any batch.
 
 Sign convention: with xi built from u_r = b(r, x0 + B^H_r), reweighting
 zero-drift paths by xi reproduces expectations of the SDE solution with
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frac_core import HurstParam, kh_inverse_matrix
+from .frac_core import HurstParam, _kh_inverse_rows
 from .fbm import GridSpec
 from .sde import DriftSpec
 
@@ -37,21 +39,23 @@ def girsanov_xi_batch(
 
     bh has shape (B, n+1) and dW shape (B, n): the density check is
     one-dimensional.  The transformed integrand q = K_H^{-1}(integral of u)
-    depends on the realized path, so it costs O(N^2) per path; the exponent
-    is returned in log space to avoid overflow.
+    depends on the realized path; it is one causal FFT convolution per path,
+    O(N log N), and each path's bits do not depend on the batch it is in.  The
+    exponent is returned in log space to avoid overflow.  A non-finite q
+    aborts, naming its batch row (the FFT spreads a bad input over its row).
     """
     if np.ndim(bh) != 2 or np.ndim(dW) != 2:
         raise ValueError("density check is one-dimensional")
-    t = grid.times
-    dt = grid.dt
-    n = grid.n_steps
-    u = drift.value(t[None, :], x0 + bh)  # (B, n+1)
-    Kinv = kh_inverse_matrix(h, t)
-    q = u @ Kinv.T
-    if not np.all(np.isfinite(q)):
-        raise FloatingPointError("non-finite inverse-kernel transform")
-    log_xi = -np.sum(q[:, :n] * dW, axis=1) - 0.5 * np.sum(q[:, :n] ** 2, axis=1) * dt
-    return log_xi
+    # the Ito sum reads q at the n left points only, and q there depends on u
+    # at those points only
+    t = grid.times[:-1]
+    q = _kh_inverse_rows(h, t, drift.value(t[None, :], x0 + bh[:, :-1]))
+    if not np.isfinite(q).all():
+        row, step = np.argwhere(~np.isfinite(q))[0]
+        raise FloatingPointError(
+            f"non-finite inverse-kernel transform at step {step} in batch row {row}"
+        )
+    return -np.sum(q * dW, axis=1) - 0.5 * np.sum(q**2, axis=1) * grid.dt
 
 
 def reweighted_expectation(

@@ -15,9 +15,9 @@ from roughdelta.bel import (
     estimate_delta,
     make_payoff,
 )
-from roughdelta.fbm import _CONV_ROWS, GridSpec, _causal_conv, sample_joint_batch
+from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.fd import sde_payoff_runner
-from roughdelta.frac_core import HurstParam, SampledFunction, big_c_h
+from roughdelta.frac_core import _CONV_ROWS, HurstParam, SampledFunction, _causal_conv, big_c_h
 from roughdelta.sde import (
     RegimeSwitchDrift,
     ZeroDrift,

@@ -17,7 +17,6 @@ from scipy import special
 import roughdelta
 from roughdelta.bel import WeightFn, _weight_batch
 from roughdelta.fbm import (
-    _CONV_ROWS,
     CholeskyFactorizationError,
     GridSpec,
     _cholesky_factor,
@@ -29,7 +28,8 @@ from roughdelta.fbm import (
     volterra_weights,
     wiener_increment_batch,
 )
-from roughdelta.frac_core import HurstParam, _kernel_vec
+from roughdelta.frac_core import _CONV_ROWS, HurstParam, _kernel_vec
+from roughdelta.girsanov import girsanov_xi_batch
 from roughdelta.sde import _STEP_BLOCK, RegimeSwitchDrift, mollify, solve_batch
 
 H01 = HurstParam(0.1)
@@ -298,6 +298,26 @@ class TestBatchSplit:
         for p in range(count):
             assert whole[p].tobytes() == weight(slice(p, p + 1))[0].tobytes()
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=_SEEDS,
+        n=st.integers(2, 40),
+        count=st.integers(1, 2 * _CONV_ROWS + 8),
+        data=st.data(),
+    )
+    def test_girsanov_splits_bitwise(self, seed, n, count, data):
+        # the inverse kernel transform is a row-wise FFT convolution, so the
+        # log-density of a path does not depend on the batch it is in
+        cut = data.draw(st.integers(0, count))
+        grid = GridSpec(1.0, n)
+        dW, bh = sample_joint_batch(grid, H01, 1, seed, 0, count)
+        drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
+        xi = lambda r: girsanov_xi_batch(H01, drift, bh[r, :, 0], dW[r, :, 0], grid, 0.1)
+        whole = xi(slice(0, count))
+        assert whole.tobytes() == np.concatenate([xi(slice(0, cut)), xi(slice(cut, count))]).tobytes()
+        for p in data.draw(st.lists(st.integers(0, count - 1), max_size=4)):
+            assert whole[p].tobytes() == xi(slice(p, p + 1)).tobytes()
+
 
 _THREAD_CHILD = """
 import hashlib
@@ -305,6 +325,7 @@ import numpy as np
 from roughdelta.bel import WeightFn, _weight_batch
 from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.frac_core import HurstParam
+from roughdelta.girsanov import girsanov_xi_batch
 from roughdelta.sde import RegimeSwitchDrift, mollify, solve_batch
 
 grid, h, a = GridSpec(1.0, 256), HurstParam(0.1), WeightFn(1.0)
@@ -313,22 +334,24 @@ drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
 def draw(start, count):
     dW, bh = sample_joint_batch(grid, h, 1, 17, start, count)
     _, _, jac = solve_batch(drift, [[0.1]], bh, grid)
-    return bh, _weight_batch(h, a, jac, dW, grid)
+    log_xi = girsanov_xi_batch(h, drift, bh[:, :, 0], dW[:, :, 0], grid, 0.1)
+    return bh, _weight_batch(h, a, jac, dW, grid), log_xi
 
-bh, pi = draw(0, 4096)
-one_bh, one_pi = draw(4095, 1)
-same = bh[-1].tobytes() == one_bh[0].tobytes() and pi[-1].tobytes() == one_pi[0].tobytes()
-print(hashlib.sha256(bh.tobytes()).hexdigest(), hashlib.sha256(pi.tobytes()).hexdigest(), same)
+whole = draw(0, 4096)
+one = draw(4095, 1)
+same = all(w[-1].tobytes() == o[0].tobytes() for w, o in zip(whole, one))
+print(*(hashlib.sha256(w.tobytes()).hexdigest() for w in whole), same)
 """
 
 
 def test_bits_match_across_blas_threads():
-    """bh and pi of 4096 paths at N = 256 have the same bytes at 1 and 2 BLAS
-    threads, and the last path has them as a batch of one.
+    """bh, pi and the Girsanov log xi of 4096 paths at N = 256 have the same
+    bytes at 1 and 2 BLAS threads, and the last path has them as a batch of one.
 
-    With OpenBLAS, a GEMM put in either contraction (sampler or profile) still
-    gives the same bytes at 1 and 2 threads, since it does not split inner sums
-    across threads; the batch of one, which BLAS computes as a GEMV, catches it.
+    With OpenBLAS, a GEMM put in any of these contractions (sampler, profile
+    or inverse kernel transform) still gives the same bytes at 1 and 2
+    threads, since it does not split inner sums across threads; the batch of
+    one, which BLAS computes as a GEMV, catches it.
     """
     src_dir = str(Path(roughdelta.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
@@ -343,7 +366,7 @@ def test_bits_match_across_blas_threads():
         assert r.returncode == 0, r.stderr
         outputs.append(r.stdout.split())
     assert outputs[0] == outputs[1]
-    assert outputs[0][2] == "True"
+    assert outputs[0][3] == "True"
 
 
 class TestVolterraSampler:

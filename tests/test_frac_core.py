@@ -20,9 +20,126 @@ from roughdelta.frac_core import (
     kernel_kh,
     kh_inverse_ac,
     shuffle_check,
+    _kh_inverse_rows,
 )
 
 H01 = HurstParam(0.1)
+
+
+# Dense product-integration oracles: the masked n x n forms the lag
+# convolutions replaced, with their arithmetic unchanged.
+
+
+def _cell_coeffs_int(alpha: float, x: np.ndarray):
+    """Product-integration coefficient matrices for the left fractional integral.
+
+    For piecewise-linear data on grid x, the integral over cell [x_j, x_{j+1}]
+    against the kernel (x_i - y)^{alpha-1} is exact.  Returns (W0, W1) such
+    that I^alpha f(x_i) = sum_j W0[i,j] f_j + W1[i,j] f_{j+1}.
+    """
+    X = x[:, None]
+    Y0 = x[None, :-1]
+    Y1 = x[None, 1:]
+    H = Y1 - Y0
+    mask = X >= Y1  # cells [x_j, x_{j+1}] entirely left of the evaluation point
+    A = np.where(mask, X - Y1, 1.0)
+    B = np.where(mask, X - Y0, 1.0)
+    P1 = (B**alpha - A**alpha) / alpha
+    P2 = (B ** (alpha + 1) - A ** (alpha + 1)) / (alpha + 1)
+    g = 1.0 / math.gamma(alpha)
+    W0 = np.where(mask, g * (P2 - A * P1) / H, 0.0)
+    W1 = np.where(mask, g * (B * P1 - P2) / H, 0.0)
+    return W0, W1
+
+
+def frac_int_left_matrix(alpha: FracOrder, grid: np.ndarray, a: float) -> np.ndarray:
+    """Linear operator L with (I^alpha_{a+} f)(grid) = L @ f(grid)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("empty grid")
+    if grid[0] != a:
+        raise ValueError(f"lower endpoint a={a} must equal grid start {grid[0]}")
+    n = grid.size
+    L = np.zeros((n, n))
+    if n > 1:
+        W0, W1 = _cell_coeffs_int(alpha.alpha, grid)
+        L[:, :-1] += W0
+        L[:, 1:] += W1
+    return L
+
+
+def dense_frac_deriv_left(alpha: FracOrder, f: SampledFunction, a: float) -> np.ndarray:
+    """Marchaud-form D^alpha_{a+} f by masked n x n cell sums."""
+    grid = f.grid
+    vals = f.values
+    if grid.size == 0:
+        raise ValueError("empty grid")
+    if grid[0] != a:
+        raise ValueError(f"lower endpoint a={a} must equal grid start {grid[0]}")
+    al = alpha.alpha
+    if al == 1.0:
+        return np.gradient(vals, grid)
+    n = grid.size
+    out = np.zeros(n)
+    ginv = 1.0 / math.gamma(1 - al)
+    X = grid[:, None]
+    Y0 = grid[None, :-1]
+    Y1 = grid[None, 1:]
+    H = Y1 - Y0
+    strict = X > Y1  # cells strictly left of x_i
+    A = np.where(strict, X - Y1, 1.0)
+    B = np.where(strict, X - Y0, 1.0)
+    Q1 = (A ** (-al) - B ** (-al)) / al
+    Qm = (B ** (1 - al) - A ** (1 - al)) / (1 - al)
+    # integral of (f(x)-f(y)) u^{-alpha-1} over interior cells
+    contrib = (
+        vals[:, None] * Q1
+        - (vals[None, :-1] * (Qm - A * Q1) + vals[None, 1:] * (B * Q1 - Qm)) / H
+    )
+    inner = np.sum(np.where(strict, contrib, 0.0), axis=1)
+    # cell adjacent to x_i: A = 0, the f(x)-f(y) ~ slope * u cancellation is exact
+    i = np.arange(1, n)
+    hlast = grid[i] - grid[i - 1]
+    inner[1:] += (vals[i] - vals[i - 1]) * hlast**-al / (1 - al)
+    out[1:] = ginv * (vals[1:] * (grid[1:] - a) ** -al + al * inner[1:])
+    out[0] = 0.0 if vals[0] == 0.0 else math.copysign(math.inf, vals[0])
+    return out
+
+
+def kh_inverse_matrix(h: HurstParam, grid: np.ndarray) -> np.ndarray:
+    """Matrix form of the inverse kernel transform on a fixed grid (row 0 is zero)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid[0] != 0.0:
+        raise ValueError("grid must start at 0")
+    hv = h.h
+    L = frac_int_left_matrix(FracOrder(0.5 - hv), grid, 0.0)
+    left = np.zeros_like(grid)
+    left[1:] = grid[1:] ** (hv - 0.5)
+    right = np.zeros_like(grid)
+    right[1:] = grid[1:] ** (0.5 - hv)
+    norm = 1.0 / (c_h(h) * math.gamma(hv + 0.5))
+    return norm * left[:, None] * L * right[None, :]
+
+
+def assert_matches_dense(new: np.ndarray, dense: np.ndarray) -> None:
+    """Equal infinities, and finite entries within 1e-13 max(1, |dense|)."""
+    np.testing.assert_array_equal(np.isfinite(new), np.isfinite(dense))
+    np.testing.assert_array_equal(new[~np.isfinite(dense)], dense[~np.isfinite(dense)])
+    fin = np.isfinite(dense)
+    err = np.abs(new[fin] - dense[fin])
+    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(dense[fin]))), err.max()
+
+
+# grid sizes and orders of the dense-oracle comparisons
+ORACLE_POINTS = (1, 2, 3, 65, 1025)
+ORACLE_ALPHAS = (0.25, 0.4, 0.499, 1.0)
+NON_UNIFORM = np.linspace(0.0, 1.0, 9) ** 2
+
+
+def _oracle_input(n: int) -> SampledFunction:
+    # f(0) = 1, so an operator that loses the f_0 edge term is caught
+    x = np.linspace(0.0, 1.0, n)
+    return SampledFunction(x, np.cos(3.0 * x) + 0.5 * x)
 
 
 class TestHurstParam:
@@ -68,10 +185,13 @@ class TestCovariance:
     @given(
         t=st.floats(0.01, 5.0),
         s=st.floats(0.01, 5.0),
-        c=st.floats(0.1, 4.0),
+        k=st.integers(-3, 2),
         h=st.floats(0.05, 0.45),
     )
-    def test_self_similarity(self, t, s, c, h):
+    def test_self_similarity(self, t, s, k, h):
+        # a power of two scales t, s and t - s exactly; a general factor
+        # rounds c t and c s, and |t - s|^{2H} amplifies that ulp when t ~ s
+        c = 2.0**k
         hp = HurstParam(h)
         assert cov_rh(hp, c * t, c * s) == pytest.approx(
             c ** (2 * h) * cov_rh(hp, t, s), rel=1e-10
@@ -187,6 +307,17 @@ class TestFracIntegral:
         with pytest.raises(ValueError):
             frac_int_left(FracOrder(0.3), SampledFunction(x, x), 0.0)
 
+    @pytest.mark.parametrize("n", ORACLE_POINTS)
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_matches_dense_oracle(self, n, alpha):
+        f = _oracle_input(n)
+        out = frac_int_left(FracOrder(alpha), f, 0.0)
+        assert_matches_dense(out.values, frac_int_left_matrix(FracOrder(alpha), f.grid, 0.0) @ f.values)
+
+    def test_rejects_non_uniform_grid(self):
+        with pytest.raises(ValueError, match="uniform grid"):
+            frac_int_left(FracOrder(0.3), SampledFunction(NON_UNIFORM, NON_UNIFORM), 0.0)
+
 
 class TestFracDerivative:
     def test_inverts_integral(self):
@@ -217,6 +348,26 @@ class TestFracDerivative:
         d1 = frac_deriv_left(FracOrder(1.0), f, 0.0)
         d99 = frac_deriv_left(FracOrder(0.999), f, 0.0)
         assert np.max(np.abs(d1.values[5:] - d99.values[5:])) < 2e-2
+
+    @pytest.mark.parametrize("n", ORACLE_POINTS)
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_matches_dense_oracle(self, n, alpha):
+        f = _oracle_input(n)
+        if n == 1 and alpha == 1.0:
+            # np.gradient needs two points: both forms raise the same error
+            raised = []
+            for op in (frac_deriv_left, dense_frac_deriv_left):
+                with pytest.raises(Exception) as err:
+                    op(FracOrder(alpha), f, 0.0)
+                raised.append(err.type)
+            assert raised[0] is raised[1]
+            return
+        out = frac_deriv_left(FracOrder(alpha), f, 0.0)
+        assert_matches_dense(out.values, dense_frac_deriv_left(FracOrder(alpha), f, 0.0))
+
+    def test_rejects_non_uniform_grid(self):
+        with pytest.raises(ValueError, match="uniform grid"):
+            frac_deriv_left(FracOrder(0.3), SampledFunction(NON_UNIFORM, NON_UNIFORM), 0.0)
 
 
 class TestKhInverse:
@@ -249,6 +400,27 @@ class TestKhInverse:
                 limit=300,
             )
             assert val == pytest.approx(t, rel=1e-6)
+
+    @pytest.mark.parametrize("n", ORACLE_POINTS)
+    @pytest.mark.parametrize("hv", (0.25, 0.1, 0.001))  # orders 1/2 - H of ORACLE_ALPHAS
+    def test_matches_dense_oracle(self, n, hv):
+        f = _oracle_input(n)
+        out = kh_inverse_ac(HurstParam(hv), f)
+        assert_matches_dense(out.values, kh_inverse_matrix(HurstParam(hv), f.grid) @ f.values)
+
+    def test_is_row_of_batch_transform(self):
+        # the single-function transform is a batch of one, bit for bit,
+        # wherever its row sits in the batch
+        x = np.linspace(0.0, 1.0, 129)
+        rows = np.random.default_rng(3).normal(size=(300, x.size))
+        batch = _kh_inverse_rows(H01, x, rows)
+        for r in (0, 1, 299):
+            one = kh_inverse_ac(H01, SampledFunction(x, rows[r]))
+            assert one.values.tobytes() == batch[r].tobytes()
+
+    def test_rejects_non_uniform_grid(self):
+        with pytest.raises(ValueError, match="uniform grid"):
+            kh_inverse_ac(H01, SampledFunction(NON_UNIFORM, np.ones_like(NON_UNIFORM)))
 
 
 class TestShuffle:
