@@ -6,7 +6,8 @@ the Wiener increments; no derivative of the payoff is required.  The double
 time integral in the weight is collapsed by exchanging the integration order
 (valid because the integrand at time s only involves the flow up to s), so a
 path costs one O(N log N) FFT causal convolution plus one O(N) Ito sum, both
-done a chunk of rows at a time.  A batch holds at most three path-sized
+done a chunk of rows at a time.  A batch runs as one slice of paths per
+worker thread, and across its slices it holds at most three path-sized
 arrays: dW, bh and the flow at the solve, then dW and the flow.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,7 +35,16 @@ __all__ = [
     "PAYOFF_NAMES",
 ]
 
+# Paths in flight at once: a batch is drawn, solved and weighted as one
+# unit, cut into one slice per worker thread.
 DEFAULT_BATCH = 4096
+
+# Threads a batch runs on: every core in the CPU affinity mask (taskset
+# narrows it).  A path is a batch of one, so this never changes a result.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity API on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -183,31 +195,46 @@ def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / n)
 
 
-def config_digest(*parts) -> str:
-    """Stable digest of a run configuration for reproducibility metadata."""
-    text = "|".join(repr(p) for p in parts)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def config_digest(*parts, payoff_label: str) -> str:
+    """Stable digest of a run configuration for reproducibility metadata.
+
+    A payoff callable has no stable hash, so the payoff enters only through
+    payoff_label; without one the digest is prefixed ``unlabeled-``.
+    """
+    text = "|".join(repr(p) for p in (*parts, payoff_label))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return digest if payoff_label else "unlabeled-" + digest
 
 
 def _mc_mean(n_paths: int, batch_size: int, block):
     """(mean, stderr) of each per-path quantity, computed batch by batch.
 
     ``block(start, count)`` returns one (count, d_i) array per quantity for
-    paths start .. start+count-1.  Each quantity is reduced over all paths at
-    once, so the batch size cannot change the result.
+    paths start .. start+count-1.  Each batch of at most batch_size paths,
+    the paths in flight at once, is cut into one contiguous slice per usable
+    core (_WORKERS); the calling thread runs the first slice and worker
+    threads the others, and each slice's rows land at their own offsets.
+    Each quantity is then reduced over all paths at once, so neither the
+    batch size nor the worker count can change the result.  If several
+    slices raise, the error of the first in path order propagates.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     samples = None
-    done = 0
-    while done < n_paths:
-        count = min(batch_size, n_paths - done)
-        parts = block(done, count)
-        if samples is None:
-            samples = [np.empty((n_paths, q.shape[1])) for q in parts]
-        for whole, q in zip(samples, parts):
-            whole[done : done + count] = q
-        done += count
+    # threads start only on the first submit, so one worker starts none
+    with ThreadPoolExecutor(max(1, _WORKERS - 1)) as pool:
+        for done in range(0, n_paths, batch_size):
+            count = min(batch_size, n_paths - done)
+            size = -(-count // _WORKERS)
+            slices = [(s, min(size, done + count - s)) for s in range(done, done + count, size)]
+            futures = [pool.submit(block, *s) for s in slices[1:]]
+            # leaving the pool waits for every slice, also when one raises
+            results = [block(*slices[0]), *(f.result() for f in futures)]
+            for (start, part_count), parts in zip(slices, results):
+                if samples is None:
+                    samples = [np.empty((n_paths, q.shape[1])) for q in parts]
+                for whole, q in zip(samples, parts):
+                    whole[start : start + part_count] = q
     return [_mean_stderr(whole) for whole in samples]
 
 
@@ -274,7 +301,8 @@ def estimate_delta(
     Per path: joint (Wiener, fBm) sample -> Euler state -> flow -> weight pi;
     the estimate is the sample mean of payoff(X_T) * pi with entrywise
     standard errors.  Accumulation is compensated and batch-order fixed, so
-    the result depends only on (inputs, master_seed).
+    the result depends only on (inputs, master_seed): batch_size, the paths
+    in flight at once, bounds memory and changes no bit.
 
     The payoff receives the (B, d) terminal-state block and must return one
     value per path; it must be square-integrable under the simulated law
@@ -288,6 +316,7 @@ def estimate_delta(
 
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
-        grid, h, master_seed, drift, x0.tolist(), payoff_label, *a.digest_parts(), n_paths
+        grid, h, master_seed, drift, x0.tolist(), *a.digest_parts(), n_paths,
+        payoff_label=payoff_label,
     )
     return DeltaEstimate(mean=mean, stderr=stderr, n_paths=n_paths, config_digest=digest)

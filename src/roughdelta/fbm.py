@@ -16,6 +16,7 @@ and independent of scheduling.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,6 +37,13 @@ __all__ = [
 ]
 
 _MAX_CHOLESKY_STEPS = 4096
+
+# The per-path reset loop of _normal_block gives up the GIL once per path; two
+# such loops at once only trade it back and forth, so they take turns and a
+# concurrent slice's FFT and solve work overlaps them instead.
+_PHILOX_LOOP = threading.Lock()
+# Slices that meet a new grid at once wait for one build of its tables.
+_TABLE_BUILD = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,8 @@ def _normal_block(
     generator serves the whole block: before each path its state is set from
     one dict of plain ints and lists, which resets the counter and empties
     the buffer (buffer_pos 4, has_uint32 0) at a fraction of the cost of
-    numpy-array state.
+    numpy-array state.  Each call has its own generator, so calls from several
+    threads give the same numbers; their loops run one at a time.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must fit in 64 bits")
@@ -86,10 +95,11 @@ def _normal_block(
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     out = np.empty((count, *shape))
-    for p, row in enumerate(out, start):
-        counter[1] = p
-        bg.state = state
-        normal(out=row)
+    with _PHILOX_LOOP:
+        for p, row in enumerate(out, start):
+            counter[1] = p
+            bg.state = state
+            normal(out=row)
     return out
 
 
@@ -169,7 +179,8 @@ def _split_tables(h: float, n: int, T: float) -> np.ndarray:
 
 def volterra_weights(grid: GridSpec, h: HurstParam) -> np.ndarray:
     """The sampler's O(N) per-step tables (a structured array); cached per config."""
-    return _split_tables(h.h, grid.n_steps, grid.horizon)
+    with _TABLE_BUILD:
+        return _split_tables(h.h, grid.n_steps, grid.horizon)
 
 
 def _volterra_paths(grid: GridSpec, h: HurstParam, dW: np.ndarray) -> np.ndarray:
@@ -187,12 +198,17 @@ def _volterra_paths(grid: GridSpec, h: HurstParam, dW: np.ndarray) -> np.ndarray
         for rows, y in _causal_conv(x, tab["src"], fk, n):
             run = np.zeros_like(y)
             np.add(y[:, :-1], y[:, 1:], out=run[:, 1:])
-            run = np.cumsum(run * tab["step"], axis=1)
+            run *= tab["step"]
+            np.cumsum(run, axis=1, out=run)
             xr = x[rows]
-            bh[rows, 1:, i] = (
-                tab["scale"] * y + run + tab["diag"] * xr
-                + tab["col"][:, 0] * xr[:, :1] + tab["col"][:, 1] * xr[:, 1:2]
-            )
+            # scale y + run + diag x + col0 x_0 + col1 x_1, added in this
+            # order: a path's bits depend on it
+            out = bh[rows, 1:, i]
+            np.multiply(tab["scale"], y, out=out)
+            out += run
+            out += tab["diag"] * xr
+            out += tab["col"][:, 0] * xr[:, :1]
+            out += tab["col"][:, 1] * xr[:, 1:2]
     return bh
 
 

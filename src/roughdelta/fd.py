@@ -19,7 +19,7 @@ import numpy as np
 from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch
 from .sde import MollifiedDrift, solve_batch
-from .bel import _mc_mean, _payoff_at, _replayable
+from .bel import DEFAULT_BATCH, _mc_mean, _payoff_at, _replayable
 from .rough_vol import _simulate_batch
 
 __all__ = [
@@ -52,7 +52,7 @@ def fd_delta(
     bump: float,
     n_paths: int,
     master_seed: int,
-    batch_size: int = 4096,
+    batch_size: int = DEFAULT_BATCH,
 ) -> FDEstimate:
     """Central finite-difference delta per coordinate under shared seeds.
 
@@ -60,9 +60,10 @@ def fd_delta(
     [phi(x + bump e_i) - phi(x - bump e_i)] / (2 bump) over paths, with the
     same path seed on both sides.  The standard error is computed from the
     per-path paired differences (variance of the difference, not the
-    difference of variances).  A runner's FloatingPointError is re-raised with
-    master_seed and the batch's first path, so the batch row it names is path
-    start + row.
+    difference of variances).  batch_size is the number of paths in flight at
+    once and changes no bit.  A runner's FloatingPointError is re-raised with
+    master_seed and the first path of its slice, so the batch row it names is
+    path start + row.
     """
     if bump <= 0:
         raise ValueError("bump must be positive")

@@ -174,7 +174,8 @@ def _causal_conv(rows: np.ndarray, weight: np.ndarray, kernel_rfft: np.ndarray, 
     for r in range(0, len(rows), _CONV_ROWS):
         chunk = slice(r, r + _CONV_ROWS)
         f = np.fft.rfft(rows[chunk] * weight, 2 * n)
-        yield chunk, np.fft.irfft(f * kernel_rfft, 2 * n)[:, :n]
+        f *= kernel_rfft
+        yield chunk, np.fft.irfft(f, 2 * n)[:, :n]
 
 
 def _uniform_step(grid: np.ndarray, a: float) -> float:

@@ -19,6 +19,7 @@ from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch, wiener_increment_batch
 from .sde import _STEP_BLOCK, MollifiedDrift, solve_batch
 from .bel import (
+    DEFAULT_BATCH,
     DeltaEstimate,
     WeightFn,
     _mc_mean,
@@ -169,7 +170,7 @@ def sbel_delta(
     grid: GridSpec,
     n_paths: int,
     master_seed: int,
-    batch_size: int = 4096,
+    batch_size: int = DEFAULT_BATCH,
     payoff_label: str = "",
 ) -> DeltaEstimate:
     """Delta vector (d/dx1, d/dx2) of E[payoff(S_T, sigma_T)].
@@ -183,12 +184,13 @@ def sbel_delta(
 
     and the estimate is (E[payoff * w1], E[payoff * (w2a + w2b)]).  The
     payoff is a function of the terminal pair and must have finite second
-    moment under the simulated law.
+    moment under the simulated law.  batch_size is the number of paths in
+    flight at once; it bounds memory and changes no bit of the result.
     """
     block = partial(_sbel_block, cfg, payoff, a, grid, master_seed)
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
         grid, cfg.h, master_seed, cfg.mu, cfg.g, cfg.vol_drift, cfg.x1, cfg.x2,
-        payoff_label, *a.digest_parts(), n_paths,
+        *a.digest_parts(), n_paths, payoff_label=payoff_label,
     )
     return DeltaEstimate(mean=mean, stderr=stderr, n_paths=n_paths, config_digest=digest)

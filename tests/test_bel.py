@@ -412,3 +412,11 @@ class TestConfigDigest:
         new = data.draw(_CHANGES[field])
         base = estimate_delta(**_BASE).config_digest
         assert estimate_delta(**{**_BASE, field: new}).config_digest != base
+
+    def test_unlabeled_payoff_marks_digest(self):
+        labeled = estimate_delta(**_BASE).config_digest
+        unlabeled = estimate_delta(**{**_BASE, "payoff_label": ""}).config_digest
+        assert unlabeled.startswith("unlabeled-")
+        assert not labeled.startswith("unlabeled-")
+        assert unlabeled != labeled
+        assert estimate_delta(**_BASE).config_digest == labeled

@@ -144,6 +144,15 @@ def _count_draws(monkeypatch):
     return calls
 
 
+def _assert_each_path_drawn_once(calls, n_paths, batch):
+    """The recorded draws tile paths 0 .. n_paths-1: no gap, no overlap, none over batch."""
+    spans = sorted((args[4], args[5]) for args in calls)  # (start_index, count)
+    assert all(0 < count <= batch for _, count in spans)
+    ends = [start + count for start, count in spans]
+    assert [start for start, _ in spans] == [0, *ends[:-1]]
+    assert ends[-1] == n_paths
+
+
 class TestModes:
     def test_delta_sde_identity(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -169,7 +178,7 @@ class TestModes:
             payoff="digital", strike=0.2, x0=0.1, out=str(out),
         )
         assert run(cfg) == 0
-        assert len(calls) == math.ceil(1000 / batch)
+        _assert_each_path_drawn_once(calls, 1000, batch)
         byq = {r["quantity"]: r for r in _read_rows(out)}
 
         h = HurstParam(0.1)
@@ -230,7 +239,7 @@ class TestModes:
         calls = _count_draws(monkeypatch)
         out = tmp_path / "v.csv"
         run(RunConfig(mode="validate", seed=7, out=str(out)))
-        assert len(calls) == math.ceil(20000 / cli.DEFAULT_BATCH)
+        _assert_each_path_drawn_once(calls, 20000, cli.DEFAULT_BATCH)
         rows = {r["component"]: r for r in _read_rows(out) if r["quantity"] == "gaussian_delta"}
 
         h = HurstParam(0.1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughdelta import bel
 from roughdelta.bel import WeightFn
 from roughdelta.frac_core import SampledFunction
 from roughdelta.fbm import GridSpec, sample_joint_batch
@@ -227,10 +228,13 @@ class TestReplayableErrors:
     def test_errors_name_seed_and_first_path(self, case):
         # the message replays the path as start + row, and the block at
         # (path, 1) meets the same fault in its row 0
+        # (the path's batch is paths 32 .. 63, cut into bel._WORKERS slices)
         seed, cfg, path, msg = _fault_message(case)
         msg += _REPLAY
         payoff = lambda s, sigma: s
-        first = msg.format(row=path - 32, seed=seed, start=32)
+        size = -(-32 // bel._WORKERS)
+        start = 32 + (path - 32) // size * size
+        first = msg.format(row=path - start, seed=seed, start=start)
         with pytest.raises(FloatingPointError, match=first):
             sbel_delta(cfg, payoff, WeightFn(1.0), _FAULT_GRID, 64, seed, batch_size=32)
         with pytest.raises(FloatingPointError, match=msg.format(row=0, seed=seed, start=path)):
@@ -283,3 +287,10 @@ class TestSbelDigest:
     @given(field=st.sampled_from(sorted(_RV_CHANGES)), data=st.data())
     def test_every_field_changes_digest(self, field, data):
         assert _digest(**data.draw(_RV_CHANGES[field])) != _digest()
+
+    def test_unlabeled_payoff_marks_digest(self):
+        labeled, unlabeled = _digest(), _digest(label="")
+        assert unlabeled.startswith("unlabeled-")
+        assert not labeled.startswith("unlabeled-")
+        assert unlabeled != labeled
+        assert _digest() == labeled
