@@ -18,12 +18,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from contextvars import copy_context
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .frac_core import HurstParam, SampledFunction, _causal_conv, big_c_h
+from .frac_core import _CONV_ROWS, HurstParam, SampledFunction, _causal_conv, _conv_rows, big_c_h
 from .fbm import GridSpec, sample_joint_batch
 from .sde import MollifiedDrift, solve_batch
 
@@ -195,15 +196,15 @@ def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / n)
 
 
-def config_digest(*parts, payoff_label: str) -> str:
+def config_digest(*parts, unlabeled: bool = False) -> str:
     """Stable digest of a run configuration for reproducibility metadata.
 
     A payoff callable has no stable hash, so the payoff enters only through
-    payoff_label; without one the digest is prefixed ``unlabeled-``.
+    its label; a run without one gets a digest prefixed ``unlabeled-``.
     """
-    text = "|".join(repr(p) for p in (*parts, payoff_label))
+    text = "|".join(repr(p) for p in parts)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    return digest if payoff_label else "unlabeled-" + digest
+    return "unlabeled-" + digest if unlabeled else digest
 
 
 def _mc_mean(n_paths: int, batch_size: int, block):
@@ -217,19 +218,30 @@ def _mc_mean(n_paths: int, batch_size: int, block):
     Each quantity is then reduced over all paths at once, so neither the
     batch size nor the worker count can change the result.  If several
     slices raise, the error of the first in path order propagates.
+
+    The slices share one _CONV_ROWS budget of FFT rows, so a batch's scratch
+    does not grow with the core count.  Every slice runs in its own copy of
+    the caller's context, so np.errstate reaches the worker threads too;
+    block runs on several threads at once and must be thread-safe.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     samples = None
+    rows = max(1, _CONV_ROWS // _WORKERS)
+
+    def run_slice(start, count):  # runs in a copy of the caller's context
+        _conv_rows.set(rows)
+        return block(start, count)
+
     # threads start only on the first submit, so one worker starts none
     with ThreadPoolExecutor(max(1, _WORKERS - 1)) as pool:
         for done in range(0, n_paths, batch_size):
             count = min(batch_size, n_paths - done)
             size = -(-count // _WORKERS)
             slices = [(s, min(size, done + count - s)) for s in range(done, done + count, size)]
-            futures = [pool.submit(block, *s) for s in slices[1:]]
+            futures = [pool.submit(copy_context().run, run_slice, *s) for s in slices[1:]]
             # leaving the pool waits for every slice, also when one raises
-            results = [block(*slices[0]), *(f.result() for f in futures)]
+            results = [copy_context().run(run_slice, *slices[0]), *(f.result() for f in futures)]
             for (start, part_count), parts in zip(slices, results):
                 if samples is None:
                     samples = [np.empty((n_paths, q.shape[1])) for q in parts]
@@ -306,7 +318,8 @@ def estimate_delta(
 
     The payoff receives the (B, d) terminal-state block and must return one
     value per path; it must be square-integrable under the simulated law
-    (NaNs abort).
+    (NaNs abort).  The slices of a batch call it at once from worker threads,
+    so it must be a pure, thread-safe function of its input.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
@@ -316,7 +329,7 @@ def estimate_delta(
 
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
-        grid, h, master_seed, drift, x0.tolist(), *a.digest_parts(), n_paths,
-        payoff_label=payoff_label,
+        grid, h, master_seed, drift, x0.tolist(), payoff_label, *a.digest_parts(), n_paths,
+        unlabeled=not payoff_label,
     )
     return DeltaEstimate(mean=mean, stderr=stderr, n_paths=n_paths, config_digest=digest)

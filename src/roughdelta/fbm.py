@@ -42,8 +42,6 @@ _MAX_CHOLESKY_STEPS = 4096
 # such loops at once only trade it back and forth, so they take turns and a
 # concurrent slice's FFT and solve work overlaps them instead.
 _PHILOX_LOOP = threading.Lock()
-# Slices that meet a new grid at once wait for one build of its tables.
-_TABLE_BUILD = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -179,8 +177,7 @@ def _split_tables(h: float, n: int, T: float) -> np.ndarray:
 
 def volterra_weights(grid: GridSpec, h: HurstParam) -> np.ndarray:
     """The sampler's O(N) per-step tables (a structured array); cached per config."""
-    with _TABLE_BUILD:
-        return _split_tables(h.h, grid.n_steps, grid.horizon)
+    return _split_tables(h.h, grid.n_steps, grid.horizon)
 
 
 def _volterra_paths(grid: GridSpec, h: HurstParam, dW: np.ndarray) -> np.ndarray:

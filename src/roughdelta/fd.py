@@ -63,7 +63,8 @@ def fd_delta(
     difference of variances).  batch_size is the number of paths in flight at
     once and changes no bit.  A runner's FloatingPointError is re-raised with
     master_seed and the first path of its slice, so the batch row it names is
-    path start + row.
+    path start + row.  The slices of a batch call model_runner at once from
+    worker threads, so it and the payoff it evaluates must be thread-safe.
     """
     if bump <= 0:
         raise ValueError("bump must be positive")

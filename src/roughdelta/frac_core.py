@@ -17,6 +17,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +38,11 @@ __all__ = [
     "shuffle_check",
 ]
 
+# Rows _causal_conv transforms at once.  bel._mc_mean shares this budget
+# between the slices of a batch that run at once on worker threads, so their
+# FFT scratch together stays that of one _CONV_ROWS chunk.
 _CONV_ROWS = 256
+_conv_rows: ContextVar[int] = ContextVar("conv_rows", default=_CONV_ROWS)
 
 
 @dataclass(frozen=True)
@@ -167,12 +172,14 @@ def _causal_conv(rows: np.ndarray, weight: np.ndarray, kernel_rfft: np.ndarray, 
     """Yield (chunk, y) with y[:, k] = sum_{j<=k} kernel[k-j] weight[j] rows[chunk, j], k < n.
 
     kernel_rfft is np.fft.rfft(kernel, 2 n): zero padding to 2n makes the
-    circular product causal.  The rows go through real FFTs _CONV_ROWS at a
-    time to bound memory, and each row is transformed on its own, so its bits
-    do not depend on the batch it is in.
+    circular product causal.  The rows go through real FFTs a chunk at a time
+    to bound memory: _CONV_ROWS rows, or the share of them that _conv_rows
+    sets for a worker slice.  Each row is transformed on its own, so its bits
+    depend neither on the chunk nor on the batch it is in.
     """
-    for r in range(0, len(rows), _CONV_ROWS):
-        chunk = slice(r, r + _CONV_ROWS)
+    step = _conv_rows.get()
+    for r in range(0, len(rows), step):
+        chunk = slice(r, r + step)
         f = np.fft.rfft(rows[chunk] * weight, 2 * n)
         f *= kernel_rfft
         yield chunk, np.fft.irfft(f, 2 * n)[:, :n]

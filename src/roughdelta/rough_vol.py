@@ -185,12 +185,14 @@ def sbel_delta(
     and the estimate is (E[payoff * w1], E[payoff * (w2a + w2b)]).  The
     payoff is a function of the terminal pair and must have finite second
     moment under the simulated law.  batch_size is the number of paths in
-    flight at once; it bounds memory and changes no bit of the result.
+    flight at once; it bounds memory and changes no bit of the result.  The
+    slices of a batch call the payoff at once from worker threads, so it must
+    be a pure, thread-safe function of its input.
     """
     block = partial(_sbel_block, cfg, payoff, a, grid, master_seed)
     ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
     digest = config_digest(
         grid, cfg.h, master_seed, cfg.mu, cfg.g, cfg.vol_drift, cfg.x1, cfg.x2,
-        *a.digest_parts(), n_paths, payoff_label=payoff_label,
+        payoff_label, *a.digest_parts(), n_paths, unlabeled=not payoff_label,
     )
     return DeltaEstimate(mean=mean, stderr=stderr, n_paths=n_paths, config_digest=digest)

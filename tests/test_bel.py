@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughdelta import bel
 from roughdelta.bel import (
     WeightFn,
     _bel_block,
@@ -16,7 +17,7 @@ from roughdelta.bel import (
     make_payoff,
 )
 from roughdelta.fbm import GridSpec, sample_joint_batch
-from roughdelta.fd import sde_payoff_runner
+from roughdelta.fd import fd_delta, sde_payoff_runner
 from roughdelta.frac_core import _CONV_ROWS, HurstParam, SampledFunction, _causal_conv, big_c_h
 from roughdelta.sde import (
     RegimeSwitchDrift,
@@ -372,6 +373,21 @@ class TestBatchWorkingSet:
         B, n = self.B, self.N
         runner = sde_payoff_runner(self.DRIFT, make_payoff("digital", 0.2), H01, GridSpec(1.0, n))
         peak = _traced_peak(lambda: runner(np.array([0.1]), 3, 0, B))
+        assert peak < 3 * B * (n + 1) * 8
+
+    # the same bounds with the batch cut into worker slices: the slices share
+    # one budget of FFT rows, so their scratch does not grow with the count
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_sliced_batch_holds_under_four_path_arrays(self, monkeypatch, workers):
+        monkeypatch.setattr(bel, "_WORKERS", workers)
+        self.test_one_batch_holds_under_four_path_arrays()
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_sliced_fd_batch_holds_under_three_path_arrays(self, monkeypatch, workers):
+        monkeypatch.setattr(bel, "_WORKERS", workers)
+        B, n = self.B, self.N
+        runner = sde_payoff_runner(self.DRIFT, make_payoff("digital", 0.2), H01, GridSpec(1.0, n))
+        peak = _traced_peak(lambda: fd_delta(runner, 0.1, 0.05, B, 3))
         assert peak < 3 * B * (n + 1) * 8
 
 

@@ -9,9 +9,9 @@ import pytest
 from roughdelta import bel, cli
 from roughdelta.bel import WeightFn, _mc_mean, estimate_delta, make_payoff
 from roughdelta.cli import RunConfig, run
-from roughdelta.fbm import GridSpec, _normal_block, _split_tables
+from roughdelta.fbm import GridSpec, _normal_block
 from roughdelta.fd import fd_delta, sde_payoff_runner
-from roughdelta.frac_core import HurstParam
+from roughdelta.frac_core import _CONV_ROWS, HurstParam, _conv_rows
 from roughdelta.rough_vol import _sbel_block, sbel_delta
 from roughdelta.sde import RegimeSwitchDrift, mollify
 from test_rough_vol import _FAULT_GRID, _REPLAY, _cfg, _fault_message
@@ -148,6 +148,31 @@ class TestSlices:
             _mc_mean(8, 8, block)
         assert finished == [4]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 300])
+    def test_slices_share_the_fft_row_budget(self, monkeypatch, workers):
+        monkeypatch.setattr(bel, "_WORKERS", workers)
+        rows = []
+
+        def block(start, count):
+            rows.append(_conv_rows.get())
+            return (np.zeros((count, 1)),)
+
+        _mc_mean(600, 600, block)
+        assert rows == [max(1, _CONV_ROWS // workers)] * min(workers, 600)
+        assert _conv_rows.get() == _CONV_ROWS  # restored for callers outside a batch
+
+    def test_slices_see_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(bel, "_WORKERS", 3)
+        seen = []
+
+        def block(start, count):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+            return (np.zeros((count, 1)),)
+
+        with np.errstate(over="raise"):
+            _mc_mean(9, 9, block)
+        assert sorted(seen) == [(False, "raise"), (False, "raise"), (True, "raise")]
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf past the fault
 @pytest.mark.parametrize("case", ["kernel", "weight", "stock", "guard"])
@@ -162,14 +187,6 @@ def test_fault_in_second_slice_names_its_path(monkeypatch, case):
         sbel_delta(cfg, payoff, WeightFn(1.0), _FAULT_GRID, 64, seed, batch_size=64)
     with pytest.raises(FloatingPointError, match=msg.format(row=0, seed=seed, start=path)):
         _sbel_block(cfg, payoff, WeightFn(1.0), _FAULT_GRID, seed, path, 1)
-
-
-def test_new_grid_tables_built_once(monkeypatch):
-    monkeypatch.setattr(bel, "_WORKERS", 3)
-    misses = _split_tables.cache_info().misses
-    drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
-    estimate_delta(drift, 0.1, make_payoff("call"), H01, WeightFn(1.0), GridSpec(1.0, 997), 6, 2)
-    assert _split_tables.cache_info().misses == misses + 1
 
 
 def test_normal_block_concurrent_disjoint_ranges():
