@@ -2,13 +2,14 @@
 
 The sensitivity of E[payoff(X_T)] to the initial state is represented as
 E[payoff(X_T) * pi], pi a stochastic-integral weight built from the flow and
-the Wiener increments; no derivative of the payoff is required.  The double
-time integral in the weight is collapsed by exchanging the integration order
-(valid because the integrand at time s only involves the flow up to s), so a
-path costs one O(N log N) FFT causal convolution plus one O(N) Ito sum, both
-done a chunk of rows at a time.  A batch runs as one slice of paths per
-worker thread, and across its slices it holds at most three path-sized
-arrays: dW, bh and the flow at the solve, then dW and the flow.
+the Wiener increments; no derivative of the payoff is required.  Exchanging
+the order of the weight's sums turns it into the flow dotted with a
+flow-free dual of the increments, one O(N log N) FFT correlation per path
+formed before the solve and written over dW; the Euler/flow solve then
+accumulates pi as it steps, so no flow array is kept.  A batch runs as one
+slice of paths per worker thread, and across its slices it holds two
+path-sized arrays (dW, then the dual over it, and bh) plus the sampler's
+FFT scratch.
 """
 
 from __future__ import annotations
@@ -103,64 +104,44 @@ class DeltaEstimate:
     config_digest: str
 
 
-def _weight_batch(
-    h: HurstParam,
-    a: WeightFn,
-    jac: np.ndarray,
-    dW: np.ndarray,
-    grid: GridSpec,
-) -> np.ndarray:
-    """The sensitivity weight pi = C_H sum_{k>=1} g(s_k) dW_k per path, shape (B, d).
+def _dual_batch(h: HurstParam, a: WeightFn, dW: np.ndarray, grid: GridSpec):
+    """The weight's dual for solve_batch, coef R, written over dW, shape (B, n, d).
 
-    jac has shape (B, n+1, d), the diagonal of each path's flow, and dW shape
-    (B, n, d).  The profile g(s_k) = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m]
-    jac[:, m-1] is deterministic in the flow: cint[j] is the exact cell
-    integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] = a(u) u^{1/2-H} at the
-    midpoint lag u = (m-1/2) dt, and the flow is taken at the left index m-1 to
-    keep the integrand adapted.  This causal convolution goes through
-    frac_core._causal_conv, and g is formed and reduced one chunk of its rows
-    at a time, so the full (B, n+1, d) profile is never built and the bits of
-    a path's weight do not depend on the batch.
+    The weight pi = C_H sum_{k>=1} g(s_k) dW_k has the profile
+    g(s_k) = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] J[m-1], where cint[j] is
+    the exact cell integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] =
+    a(u) u^{1/2-H} at the midpoint lag u = (m-1/2) dt, and the flow J is taken
+    at the left index m-1 to keep the Ito sum adapted.  Exchanging the two sums
+    gives pi = sum_j coef[j] J[j] R[:, j], with coef = C_H c2 and the flow-free
+    R_j = sum_{k>=j} cint[k-j] s_{k+1}^{H-1/2} dW_{k+1} (R_{n-1} = 0), an
+    anti-causal correlation of dW alone.  R comes from one
+    frac_core._causal_conv over the time-reversed rows, and each chunk of rows
+    is scaled by coef and written back over its dW rows as it is yielded, so
+    no path-sized array is added and a path's bits do not depend on its batch.
 
-    Left-point evaluation keeps the Ito sum adapted: g(s_k) multiplies the
-    Wiener increment over [t_k, t_{k+1}].  A non-finite flow aborts before the
-    convolution spreads it over its row, naming the batch row and step of the
-    first bad entry; a non-finite weight aborts, naming the first bad batch row
-    and the first step at which its running sum turns non-finite.
+    R_j mixes every later increment, so dW is checked first: a non-finite
+    increment aborts, naming its first bad batch row and that row's first bad
+    step.
     """
-    if not np.all(np.isfinite(jac)):
-        row, step, _ = np.argwhere(~np.isfinite(jac))[0]
-        raise FloatingPointError(f"non-finite flow at step {step} in batch row {row}")
     n = grid.n_steps
-    if jac.shape[1] != n + 1:
-        raise ValueError(f"flow has {jac.shape[1]} time points, grid has {n + 1}")
+    if dW.shape[1] != n:
+        raise ValueError(f"increments have {dW.shape[1]} steps, grid has {n}")
+    if not np.all(np.isfinite(dW)):
+        row, step, _ = np.argwhere(~np.isfinite(dW))[0]
+        raise FloatingPointError(f"non-finite Wiener increment at step {step} in batch row {row}")
     t = grid.times
     e = 0.5 - h.h
     cint = (t[1:] ** e - t[:-1] ** e) / e  # exact power antiderivative per cell
     lag = (np.arange(1, n + 1) - 0.5) * grid.dt
     c2 = a.values(lag) * lag**e
-    scale = t[1:] ** (h.h - 0.5)
+    rev_scale = np.append(t[n - 1 : 0 : -1] ** (h.h - 0.5), 0.0)  # s_{n-1-i}^{H-1/2}, then 0
     fc = np.fft.rfft(cint, 2 * n)
-    c_h = big_c_h(h)
-    pi = np.empty((len(jac), jac.shape[2]))
-    # one generator per component; zip walks them through the same row chunks
-    convs = [_causal_conv(jac[:, :n, i], c2, fc, n) for i in range(jac.shape[2])]
-    for chunk in zip(*convs):
-        rows = chunk[0][0]
-        g = np.empty_like(jac[rows])  # column 0 (g = 0) is never read
-        for i, (_, y) in enumerate(chunk):
-            g[:, 1:, i] = y * scale
-        pi[rows] = c_h * np.einsum("bkd,bkd->bd", g[:, 1:n], dW[rows, 1:n])
-        bad = ~np.all(np.isfinite(pi[rows]), axis=1)
-        if np.any(bad):
-            row = int(np.argmax(bad))
-            with np.errstate(invalid="ignore", over="ignore"):
-                partial = np.cumsum(g[row, 1:n] * dW[rows][row, 1:n], axis=0)
-            step = int(np.argmax(~np.all(np.isfinite(partial), axis=1))) + 1
-            raise FloatingPointError(
-                f"non-finite weight contribution at step {step} in batch row {rows.start + row}"
-            )
-    return pi
+    coef = big_c_h(h) * c2[: n - 1]
+    for i in range(dW.shape[2]):
+        for rows, y in _causal_conv(dW[:, ::-1, i], rev_scale, fc, n):
+            np.multiply(y[:, : n - 1][:, ::-1], coef, out=dW[rows, : n - 1, i])
+            dW[rows, n - 1, i] = 0.0
+    return dW
 
 
 PAYOFF_NAMES = ("identity", "call", "put", "digital")
@@ -281,19 +262,19 @@ def _replayable(master_seed: int, start: int):
 def _bel_block(drift, starts: np.ndarray, h, a, grid, master_seed, start, count):
     """Weight pi of starts[0], (count, d), and every start's X_T, (m, count, d).
 
-    Draws paths start .. start+count-1 and runs one Euler/flow pass -> weight
-    pi, as in estimate_delta; callers form payoff * pi with _weighted, so one
-    pi can serve several payoffs and, where the flows agree, several starts.
-    bh is dropped once the solve returns, so at most three path-sized arrays
-    (dW, bh, jac) are alive at once.  A kernel or weight FloatingPointError is
-    re-raised with master_seed and start, so the batch row it names is path
-    start + row.
+    Draws paths start .. start+count-1, writes the weight's dual over dW and
+    runs one Euler/flow pass that accumulates pi as it goes, as in
+    estimate_delta; callers form payoff * pi with _weighted, so one pi can
+    serve several payoffs and, where the flows agree, several starts.  No
+    flow array is built, so past the sampler's own peak (dW, bh and its FFT
+    scratch) at most two path-sized arrays (the dual over dW, and bh) are
+    alive.  A kernel or weight FloatingPointError is re-raised with
+    master_seed and start, so the batch row it names is path start + row.
     """
     dW, bh = sample_joint_batch(grid, h, starts.shape[1], master_seed, start, count)
     with _replayable(master_seed, start):
-        _, ends, jac = solve_batch(drift, starts, bh, grid)
-        del bh
-        return _weight_batch(h, a, jac, dW, grid), ends
+        _, ends, _, pi = solve_batch(drift, starts, bh, grid, dual=_dual_batch(h, a, dW, grid))
+        return pi, ends
 
 
 def estimate_delta(
@@ -310,9 +291,9 @@ def estimate_delta(
 ) -> DeltaEstimate:
     """Monte-Carlo delta of E[payoff(X_T)] in the initial state.
 
-    Per path: joint (Wiener, fBm) sample -> Euler state -> flow -> weight pi;
-    the estimate is the sample mean of payoff(X_T) * pi with entrywise
-    standard errors.  Accumulation is compensated and batch-order fixed, so
+    Per path: joint (Wiener, fBm) sample -> dual of the increments -> Euler
+    state and flow, which accumulate the weight pi; the estimate is the
+    sample mean of payoff(X_T) * pi with entrywise standard errors.  Accumulation is compensated and batch-order fixed, so
     the result depends only on (inputs, master_seed): batch_size, the paths
     in flight at once, bounds memory and changes no bit.
 

@@ -22,9 +22,9 @@ from .bel import (
     DEFAULT_BATCH,
     DeltaEstimate,
     WeightFn,
+    _dual_batch,
     _mc_mean,
     _replayable,
-    _weight_batch,
     config_digest,
 )
 
@@ -89,7 +89,8 @@ class RVConfig:
 
 
 def _simulate_batch(
-    cfg: RVConfig, grid: GridSpec, master_seed: int, start: int, count: int
+    cfg: RVConfig, grid: GridSpec, master_seed: int, start: int, count: int,
+    a: WeightFn | None = None,
 ):
     """Vectorized model simulation for consecutive path indices.
 
@@ -98,8 +99,11 @@ def _simulate_batch(
     log-Euler step (exact for constant g, positivity-preserving); its
     variation in x2 is the exact derivative of that discrete recursion, so
     gamma = 0 gives dS_dx2 identically zero.  Returns path-major
-    (s, sigma, dS_dx2, dsigma_dx2, dW', dW, g(sigma)), the last without its
-    terminal column.
+    (s, sigma, dS_dx2, dsigma_dx2, dW', w2b, g(sigma)), the last without its
+    terminal column.  w2b, the fractional weight of the vol-factor flow,
+    (count, 1), is accumulated in the sigma solve when a weight function a is
+    given and is None otherwise, so a caller that needs no weight pays
+    nothing for it.
 
     The stock loop runs time-major, _STEP_BLOCK steps at a time: each block's
     elementwise terms are formed at once, S is their running product
@@ -111,8 +115,10 @@ def _simulate_batch(
     dW, bh = sample_joint_batch(
         grid, cfg.h, 1, master_seed, start, count, stream=STREAM_FRACTIONAL
     )
+    dual = None if a is None else _dual_batch(cfg.h, a, dW, grid)
+    del dW
     dWp = wiener_increment_batch(grid, master_seed, start, count, stream=STREAM_STOCK)
-    sigma, _, dsig = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True)
+    sigma, _, dsig, w2b = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True, dual=dual)
     sigma, dsig = sigma[:, :, 0], dsig[:, :, 0]
     s = np.empty((count, n + 1))
     k2 = np.empty((count, n + 1))
@@ -135,7 +141,7 @@ def _simulate_batch(
     if not np.all(np.isfinite(s)):
         row, step = np.argwhere(~np.isfinite(s))[0]
         raise FloatingPointError(f"non-finite stock value at step {step} in batch row {row}")
-    return s, sigma, k2, dsig, dWp, dW[:, :, 0], gsig
+    return s, sigma, k2, dsig, dWp, w2b, gsig
 
 
 def _sbel_block(cfg: RVConfig, payoff, a: WeightFn, grid: GridSpec, master_seed, start, count):
@@ -146,7 +152,7 @@ def _sbel_block(cfg: RVConfig, payoff, a: WeightFn, grid: GridSpec, master_seed,
     """
     n = grid.n_steps
     with _replayable(master_seed, start):
-        s, sigma, k2, dsig, dWp, dWf, gsig = _simulate_batch(cfg, grid, master_seed, start, count)
+        s, sigma, k2, dsig, dWp, w2b, gsig = _simulate_batch(cfg, grid, master_seed, start, count, a)
         ginv = 1.0 / (s[:, :n] * gsig)
         if not np.all(np.isfinite(ginv)):
             row, step = np.argwhere(~np.isfinite(ginv))[0]
@@ -156,11 +162,10 @@ def _sbel_block(cfg: RVConfig, payoff, a: WeightFn, grid: GridSpec, master_seed,
         av = a.values(grid.times[:n])[None, :]
         w1 = np.sum(av * ginv * (s[:, :n] / cfg.x1) * dWp, axis=1)
         w2a = np.sum(av * ginv * k2[:, :n] * dWp, axis=1)
-        w2b = _weight_batch(cfg.h, a, dsig[:, :, None], dWf[:, :, None], grid)[:, 0]
     phi = np.asarray(payoff(s[:, -1], sigma[:, -1]), dtype=float).reshape(count)
     if np.any(np.isnan(phi)):
         raise FloatingPointError("payoff returned NaN")
-    return (np.stack([phi * w1, phi * (w2a + w2b)], axis=1),)
+    return (np.stack([phi * w1, phi * (w2a + w2b[:, 0])], axis=1),)
 
 
 def sbel_delta(

@@ -155,28 +155,35 @@ def default_epsilon(grid: GridSpec, h) -> float:
 
 
 def solve_batch(
-    drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec, path: bool = False
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec, path: bool = False, dual=None
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Explicit Euler for dX = b_eps(t, X) dt + dB^H from m starts, with the flow of the first.
 
     bh has shape (B, n+1, d) and starts shape (m, d); every start runs on the
     same fBm paths, and the drift is taken at the left endpoint of each step.
-    Returns (x, ends, jac): the states x of starts[0] when path is true (else
-    None, so no path-sized array is spent on it) and the diagonal of its
-    first-variation flow J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I,
-    each of bh's shape, and the terminal states of every start, (m, B, d).
+    The first start also carries the diagonal of its first-variation flow
+    J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I.  Returns
+    (x, ends, jac, pi): the terminal states of every start, ends, (m, B, d);
+    when path is true the states x and the flow jac of starts[0], each of
+    bh's shape (else None, so no path-sized array is spent on them); and
+    when a dual of shape (B, n, d) is given, the weight
+    pi = sum_j J[j] dual[:, j], (B, d) (else None).
 
     The state advances time-major, one (m, B, d) row per step.  Increments go
     in, and x and jac come out, _STEP_BLOCK steps at a time, so no full-size
-    transposed copy is made.  Each element sees the arithmetic of a path-major
-    loop, so its bits depend neither on the layout nor on the batch.
+    transposed copy is made.  Each element of x, ends and jac sees the
+    arithmetic of a path-major loop.  pi takes one block's terms at a time,
+    formed path-major, and adds their sum over the block's steps; that sum
+    reduces each row's contiguous terms on their own.  So no bit of a row
+    depends on the layout or on the batch.
 
-    Two faults abort, the one at the earlier step first: a non-finite state
-    names its start index, batch row and step; a non-positive flow factor
-    (the downstream weight assumes an orientation-preserving flow) names its
-    batch row, step and component.  Step k's factor is checked before the
-    state at step k+1 is formed, and the state at step k was checked before
-    it, so the two can never be due at once.
+    A non-finite state names its start index, batch row and step, and a
+    non-positive flow factor (the weight assumes an orientation-preserving
+    flow) its batch row, step and component.  Both are checked every step;
+    step k's factor before the state at step k+1 is formed, so of the two the
+    earlier one is raised.  With a dual, the block's flow and then pi are
+    checked once per block, after its states: a non-finite flow or weight
+    contribution names the first bad step in the block and its first bad row.
     """
     B, n1, d = bh.shape
     starts = np.asarray(starts, dtype=float)
@@ -185,13 +192,14 @@ def solve_batch(
     dt = grid.dt
     t = grid.times
     x = np.empty_like(bh) if path else None
-    jac = np.empty_like(bh)
-    jac[:, 0] = 1.0
+    jac = np.empty_like(bh) if path else None
     state = np.empty((_STEP_BLOCK + 1, len(starts), B, d))
     flow = np.empty((_STEP_BLOCK + 1, B, d))
     inc = np.empty((_STEP_BLOCK, B, d))
     state[0] = starts[:, None]
     flow[0] = 1.0
+    pi = None if dual is None else np.zeros((B, d))
+    terms = None if dual is None else np.empty((B, _STEP_BLOCK, d))
     swap = lambda a: a.transpose(1, 0, 2)  # path-major <-> time-major view
     for k0 in range(0, n1 - 1, _STEP_BLOCK):
         nb = min(_STEP_BLOCK, n1 - 1 - k0)
@@ -212,9 +220,29 @@ def solve_batch(
                 raise FloatingPointError(
                     f"non-finite state at step {k + 1} from start {start} in batch row {row}"
                 )
+        if dual is not None:
+            _check_block(flow[1 : nb + 1], k0 + 1, "flow")
+            run = np.multiply(swap(flow[:nb]), dual[:, k0 : k0 + nb], out=terms[:, :nb])
+            total = pi + np.add.reduce(run, axis=1)
+            if not np.all(np.isfinite(total)):  # name the step the running sum turns bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    partial = pi[:, None] + np.cumsum(run, axis=1)
+                partial[:, -1] = total  # the block's own sum may overflow where cumsum does not
+                _check_block(swap(partial), k0, "weight contribution")
+            pi = total
         if path:  # column k0 again too, which block 0 needs for the start
             x[:, k0 : k0 + nb + 1] = swap(state[: nb + 1, 0])
-        jac[:, k0 + 1 : k0 + nb + 1] = swap(flow[1 : nb + 1])
+            jac[:, k0 : k0 + nb + 1] = swap(flow[: nb + 1])
         state[0] = state[nb]
         flow[0] = flow[nb]
-    return x, state[0].copy(), jac
+    return x, state[0].copy(), jac, pi
+
+
+def _check_block(block: np.ndarray, k0: int, what: str) -> None:
+    """Raise on a non-finite entry of a time-major block whose row 0 is step k0.
+
+    The first bad step is named, with its first bad batch row.
+    """
+    if not np.all(np.isfinite(block)):
+        step, row, _ = np.argwhere(~np.isfinite(block))[0]
+        raise FloatingPointError(f"non-finite {what} at step {k0 + step} in batch row {row}")

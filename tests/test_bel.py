@@ -12,16 +12,19 @@ from roughdelta import bel
 from roughdelta.bel import (
     WeightFn,
     _bel_block,
-    _weight_batch,
+    _dual_batch,
     estimate_delta,
     make_payoff,
 )
 from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.fd import fd_delta, sde_payoff_runner
-from roughdelta.frac_core import _CONV_ROWS, HurstParam, SampledFunction, _causal_conv, big_c_h
+from roughdelta.frac_core import (
+    _CONV_ROWS, HurstParam, SampledFunction, _causal_conv, _conv_rows, big_c_h,
+)
 from roughdelta.sde import (
     RegimeSwitchDrift,
     ZeroDrift,
+    default_epsilon,
     mollify,
     solve_batch,
 )
@@ -55,7 +58,7 @@ def _dense_profile(h, a, jac, grid):
 
 
 def _profile_batch(h, a, jac, grid):
-    """Byte reference: the whole profile g, shape (B, n+1, d), with g[:, 0] = 0.
+    """Oracle: the whole profile g, shape (B, n+1, d), with g[:, 0] = 0.
 
     g[:, k] = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] jac[:, m-1], one FFT causal
     convolution per component over every row of the batch at once.
@@ -78,10 +81,22 @@ def _profile_batch(h, a, jac, grid):
 
 
 def _reference_weight(h, a, jac, dW, grid):
-    """Byte reference for _weight_batch: the whole profile, then one einsum."""
-    g = _profile_batch(h, a, jac, grid)
+    """Oracle for the fused weight: the whole profile, then one sum per row.
+
+    Returns pi, (B, d), and the largest of each row's terms C_H g(s_k) dW_k,
+    the scale of its rounding.
+    """
     n = grid.n_steps
-    return big_c_h(h) * np.einsum("bkd,bkd->bd", g[:, 1:n], dW[:, 1:n])
+    terms = big_c_h(h) * _profile_batch(h, a, jac, grid)[:, 1:n] * dW[:, 1:n]
+    return terms.sum(axis=1), np.max(np.abs(terms), axis=1, initial=0.0)
+
+
+def _fused_weight(drift, h, a, dW, bh, grid, x0=0.0):
+    """(pi, jac) from one solve that carries the weight's dual; dW is left as it was."""
+    d = dW.shape[2]
+    dual = _dual_batch(h, a, dW.copy(), grid)
+    _, _, jac, pi = solve_batch(drift, np.full((1, d), x0), bh, grid, path=True, dual=dual)
+    return pi, jac
 
 
 @dataclass(frozen=True)
@@ -99,12 +114,34 @@ class _Cliff:
         return np.where(x > self.level, self.slope_above, 0.0)
 
 
+@dataclass(frozen=True)
+class _Poison:
+    """b = 0, and Db = 0 but at each (step, row, value) of faults: flow faults placed by hand.
+
+    Db at step k sets the flow at step k+1.
+    """
+
+    times: np.ndarray
+    faults: tuple
+
+    def value(self, t, x):
+        return np.zeros_like(x)
+
+    def derivative(self, t, x):
+        out = np.zeros_like(x)
+        for step, row, v in self.faults:
+            if t == self.times[step]:
+                out[row] = v
+        return out
+
+
+_ZERO = mollify(ZeroDrift(), 0.05)
+
+
 def _zero_drift_flows(grid, seed, start, count):
-    """(dW, flow) of zero-drift paths start .. start+count-1."""
-    m = mollify(ZeroDrift(), 0.05)
+    """(dW, bh, flow) of zero-drift paths start .. start+count-1."""
     dW, bh = sample_joint_batch(grid, H01, 1, seed, start, count)
-    _, _, jac = solve_batch(m, [[0.0]], bh, grid)
-    return dW, jac
+    return dW, bh, solve_batch(_ZERO, [[0.0]], bh, grid, path=True)[2]
 
 
 class TestWeightFn:
@@ -159,7 +196,7 @@ class TestPayoffRegistry:
 class TestWeightProfile:
     def test_starts_at_zero(self):
         grid = GridSpec(1.0, 32)
-        _, jac = _zero_drift_flows(grid, 1, 0, 1)
+        _, _, jac = _zero_drift_flows(grid, 1, 0, 1)
         g = _profile_batch(H01, WeightFn(1.0), jac, grid)
         assert g.shape == (1, 33, 1)
         assert g[0, 0, 0] == 0.0
@@ -167,18 +204,18 @@ class TestWeightProfile:
 
     def test_positive_for_identity_flow(self):
         grid = GridSpec(1.0, 32)
-        _, jac = _zero_drift_flows(grid, 1, 0, 1)
+        _, _, jac = _zero_drift_flows(grid, 1, 0, 1)
         g = _profile_batch(H01, WeightFn(1.0), jac, grid)
         assert np.all(g[0, 1:, 0] > 0.0)
 
     def test_grid_mismatch(self):
         grid = GridSpec(1.0, 32)
-        dW, jac = _zero_drift_flows(grid, 1, 0, 1)
+        dW, _, jac = _zero_drift_flows(grid, 1, 0, 1)
         other = GridSpec(1.0, 16)
         with pytest.raises(ValueError, match="33 time points, grid has 17"):
             _profile_batch(H01, WeightFn(1.0), jac, other)
-        with pytest.raises(ValueError, match="33 time points, grid has 17"):
-            _weight_batch(H01, WeightFn(1.0), jac, dW, other)
+        with pytest.raises(ValueError, match="32 steps, grid has 16"):
+            _dual_batch(H01, WeightFn(1.0), dW, other)
 
 
     @pytest.mark.parametrize("n", [2, 3, 128, 1024])
@@ -199,63 +236,87 @@ class TestWeightProfile:
     @pytest.mark.parametrize("n", [2, 3, 64, 257])
     @pytest.mark.parametrize("d", [1, 2])
     def test_chunked_weight_matches_whole_profile_bitwise(self, n, d):
-        # 520 rows are three _CONV_ROWS chunks; forming and reducing g one
-        # chunk at a time keeps the bytes of the whole profile and one einsum
+        # 520 rows are three _CONV_ROWS chunks of the dual's FFT; writing the
+        # dual back one chunk at a time keeps the bytes of one whole-batch
+        # transform, and the fused weight matches the whole profile and one
+        # einsum (the form before the sums were exchanged) to rounding
         assert _CONV_ROWS < 520 // 2
         grid = GridSpec(1.0, n)
-        rng = np.random.default_rng(n + d)
-        jac = np.exp(np.cumsum(rng.normal(0.0, 0.05, (520, n + 1, d)), axis=1))
-        dW = rng.normal(0.0, grid.dt**0.5, (520, n, d))
+        dW, bh = sample_joint_batch(grid, H01, d, n + d, 0, 520)
         for a in (WeightFn(1.0), _linear_weight(m=7, c=1.5)):
-            ref = _reference_weight(H01, a, jac, dW, grid)
-            assert _weight_batch(H01, a, jac, dW, grid).tobytes() == ref.tobytes()
+            pi, jac = _fused_weight(_DRIFT, H01, a, dW, bh, grid, 0.1)
+            token = _conv_rows.set(520)
+            try:
+                whole, _ = _fused_weight(_DRIFT, H01, a, dW, bh, grid, 0.1)
+            finally:
+                _conv_rows.reset(token)
+            assert pi.tobytes() == whole.tobytes()
+            ref, scale = _reference_weight(H01, a, jac, dW, grid)
+            assert np.all(np.abs(pi - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 257, 1024])
+    @pytest.mark.parametrize("hv", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("custom", [False, True], ids=["uniform", "custom"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fused_weight_matches_profile_oracle(self, n, hv, custom, d):
+        # pi accumulated in the solve against the flow-free dual equals the
+        # profile form's weight to within 1e-13 of each row's largest term
+        grid = GridSpec(1.0, n)
+        h = HurstParam(hv)
+        a = _linear_weight(m=7, c=1.5) if custom else WeightFn(1.0)
+        dW, bh = sample_joint_batch(grid, h, d, n, 0, 6)
+        drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), default_epsilon(grid, h))
+        pi, jac = _fused_weight(drift, h, a, dW, bh, grid, 0.1)
+        ref, scale = _reference_weight(h, a, jac, dW, grid)
+        assert np.all(np.abs(pi - ref) <= 1e-13 * scale)
 
 
 class TestMalliavinWeight:
     def test_zero_mean(self):
         # pi is an Ito integral, so its average over paths is near 0
         grid = GridSpec(1.0, 64)
-        dW, jac = _zero_drift_flows(grid, 21, 0, 400)
-        vals = _weight_batch(H01, WeightFn(1.0), jac, dW, grid)[:, 0]
+        dW, bh, _ = _zero_drift_flows(grid, 21, 0, 400)
+        vals = _fused_weight(_ZERO, H01, WeightFn(1.0), dW, bh, grid)[0][:, 0]
         assert abs(vals.mean()) < 4 * vals.std(ddof=1) / np.sqrt(len(vals))
 
     def test_non_finite_names_step_and_row(self):
+        # the dual would spread a bad increment back over its whole row, so
+        # dW is checked before the dual is formed
         grid = GridSpec(1.0, 16)
-        dW, jac = _zero_drift_flows(grid, 21, 0, 4)
+        dW, _, _ = _zero_drift_flows(grid, 21, 0, 4)
         dW[2, 5, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="step 5 in batch row 2"):
-            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
+        with pytest.raises(FloatingPointError, match="increment at step 5 in batch row 2$"):
+            _dual_batch(H01, WeightFn(1.0), dW, grid)
         dW[2, 5, 0] = np.inf
         dW[2, 9, 0] = -np.inf
-        with pytest.raises(FloatingPointError, match="step 5 in batch row 2"):
-            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
-
+        dW[3, 1, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="increment at step 5 in batch row 2$"):
+            _dual_batch(H01, WeightFn(1.0), dW, grid)
 
     def test_non_finite_flow_names_step_and_row(self):
-        # the convolution would spread a bad flow entry over its whole row, so
-        # the flow is checked first and its first bad entry is named
+        # the solve checks the flow once per block and names the first bad
+        # step in it, and the first bad row at that step
         grid = GridSpec(1.0, 16)
-        dW, jac = _zero_drift_flows(grid, 21, 0, 4)
-        jac[2, 7, 0] = np.inf
-        jac[3, 1, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 2"):
-            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
+        dW, bh, _ = _zero_drift_flows(grid, 21, 0, 4)
+        faults = ((8, 1, np.nan), (6, 3, np.nan), (6, 2, np.inf))
+        with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 2$"):
+            _fused_weight(_Poison(grid.times, faults), H01, WeightFn(1.0), dW, bh, grid)
 
     def test_later_chunk_names_its_batch_row(self):
-        # row 300 lies in the second chunk of the profile; the first bad row
+        # row 300 lies in the second chunk of the dual's FFT; the first bad row
         # of the batch is named, not the first bad row of a chunk
         grid = GridSpec(1.0, 16)
-        dW, jac = _zero_drift_flows(grid, 21, 0, 520)
+        dW, bh, _ = _zero_drift_flows(grid, 21, 0, 520)
         assert 300 // _CONV_ROWS == 1
         dW[300, 5, 0] = np.nan
         dW[310, 2, 0] = np.inf
         dW[515, 1, 0] = np.inf
-        with pytest.raises(FloatingPointError, match="contribution at step 5 in batch row 300$"):
-            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
-        dW[300, 5, 0] = 0.0
-        jac[300, 7, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="increment at step 5 in batch row 300$"):
+            _fused_weight(_ZERO, H01, WeightFn(1.0), dW, bh, grid)
+        dW[[300, 310, 515], [5, 2, 1], 0] = 0.0
+        poison = _Poison(grid.times, ((6, 300, np.inf), (6, 515, np.nan)))
         with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 300$"):
-            _weight_batch(H01, WeightFn(1.0), jac, dW, grid)
+            _fused_weight(poison, H01, WeightFn(1.0), dW, bh, grid)
 
 
 class TestEstimateDelta:
@@ -355,9 +416,9 @@ class TestBatchWorkingSet:
     DRIFT = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
 
     def test_one_batch_holds_under_four_path_arrays(self):
-        # at its peak a batch holds dW, bh and the flow (at the solve), plus
-        # scratch of _STEP_BLOCK steps or _CONV_ROWS rows; a kept Euler path
-        # or a whole profile g would add a fourth path-sized array
+        # at its peak a batch holds dW and bh, plus scratch of _STEP_BLOCK
+        # steps or _CONV_ROWS rows; a kept Euler path, a flow array or a whole
+        # profile g would add another path-sized array
         B, n = self.B, self.N
         grid = GridSpec(1.0, n)
         peak = _traced_peak(
@@ -369,7 +430,7 @@ class TestBatchWorkingSet:
 
     def test_fd_runner_holds_under_three_path_arrays(self):
         # the runner needs bh and the terminal states; the sampler's dW is
-        # dropped before the solve, which adds only its flow
+        # dropped before the solve, which builds no flow array
         B, n = self.B, self.N
         runner = sde_payoff_runner(self.DRIFT, make_payoff("digital", 0.2), H01, GridSpec(1.0, n))
         peak = _traced_peak(lambda: runner(np.array([0.1]), 3, 0, B))
@@ -388,6 +449,22 @@ class TestBatchWorkingSet:
         B, n = self.B, self.N
         runner = sde_payoff_runner(self.DRIFT, make_payoff("digital", 0.2), H01, GridSpec(1.0, n))
         peak = _traced_peak(lambda: fd_delta(runner, 0.1, 0.05, B, 3))
+        assert peak < 3 * B * (n + 1) * 8
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_fused_batch_holds_under_three_path_arrays(self, monkeypatch, workers):
+        # the weight is accumulated in the solve, so past the sampler's own
+        # peak (dW, bh and its FFT scratch) a batch holds the dual over dW and
+        # bh, and no flow array; at N = 1024 the _STEP_BLOCK buffers are small
+        # next to a path-sized array
+        monkeypatch.setattr(bel, "_WORKERS", workers)
+        B, n = self.B, 1024
+        grid = GridSpec(1.0, n)
+        peak = _traced_peak(
+            lambda: estimate_delta(
+                self.DRIFT, 0.1, make_payoff("digital", 0.2), H01, WeightFn(1.0), grid, B, 3
+            )
+        )
         assert peak < 3 * B * (n + 1) * 8
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import roughdelta
-from roughdelta.bel import WeightFn, _weight_batch
+from roughdelta.bel import WeightFn, _dual_batch
 from roughdelta.fbm import (
     CholeskyFactorizationError,
     GridSpec,
@@ -259,19 +259,22 @@ class TestBatchSplit:
     )
     def test_solver_splits_bitwise(self, seed, n, d, m, count, data):
         # the Euler/flow kernel steps every row on its own, so x, each start's
-        # terminal state and the flow of a path do not depend on its batch
+        # terminal state, the flow and the weight a dual carries of a path do
+        # not depend on its batch
         cut = data.draw(st.integers(0, count))
         grid = GridSpec(1.0, n)
         _, bh = sample_joint_batch(grid, H01, d, seed, 0, count)
-        starts = np.random.default_rng(seed).normal(0.0, 0.5, (m, d))
+        rng = np.random.default_rng(seed)
+        starts = rng.normal(0.0, 0.5, (m, d))
+        dual = rng.normal(0.0, 1.0, (count, n, d))
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.1), 0.05)
-        solve = lambda rows: solve_batch(drift, starts, bh[rows], grid, path=True)
+        solve = lambda r: solve_batch(drift, starts, bh[r], grid, path=True, dual=dual[r])
         whole = solve(slice(0, count))
         halves = zip(solve(slice(0, cut)), solve(slice(cut, count)))
-        for w, (a, b), axis in zip(whole, halves, (0, 1, 0)):
+        for w, (a, b), axis in zip(whole, halves, (0, 1, 0, 0)):
             assert w.tobytes() == np.concatenate([a, b], axis=axis).tobytes()
         for p in range(count):
-            for w, one, axis in zip(whole, solve(slice(p, p + 1)), (0, 1, 0)):
+            for w, one, axis in zip(whole, solve(slice(p, p + 1)), (0, 1, 0, 0)):
                 assert np.take(w, [p], axis=axis).tobytes() == one.tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -283,15 +286,18 @@ class TestBatchSplit:
         data=st.data(),
     )
     def test_weight_splits_bitwise(self, seed, n, d, count, data):
-        # the FFT profile transforms each row on its own, so the weight of a
-        # path does not depend on the batch it is computed in
+        # the dual's FFT transforms each row on its own and the solve
+        # accumulates each row's weight on its own, so the weight of a path
+        # does not depend on the batch it is computed in
         cut = data.draw(st.integers(0, count))
         grid = GridSpec(1.0, n)
-        rng = np.random.default_rng(seed)
-        jac = np.exp(np.cumsum(rng.normal(0.0, 0.05, (count, n + 1, d)), axis=1))
-        dW = rng.normal(0.0, grid.dt**0.5, (count, n, d))
+        dW, bh = sample_joint_batch(grid, H01, d, seed, 0, count)
+        starts = np.full((1, d), 0.1)
+        drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
         a = WeightFn(1.0)
-        weight = lambda rows: _weight_batch(H01, a, jac[rows], dW[rows], grid)
+        weight = lambda r: solve_batch(
+            drift, starts, bh[r], grid, dual=_dual_batch(H01, a, dW[r].copy(), grid)
+        )[3]
         whole = weight(slice(0, count))
         halves = np.concatenate([weight(slice(0, cut)), weight(slice(cut, count))])
         assert whole.tobytes() == halves.tobytes()
@@ -322,7 +328,7 @@ class TestBatchSplit:
 _THREAD_CHILD = """
 import hashlib
 import numpy as np
-from roughdelta.bel import WeightFn, _weight_batch
+from roughdelta.bel import WeightFn, _dual_batch
 from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.frac_core import HurstParam
 from roughdelta.girsanov import girsanov_xi_batch
@@ -333,9 +339,9 @@ drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
 
 def draw(start, count):
     dW, bh = sample_joint_batch(grid, h, 1, 17, start, count)
-    _, _, jac = solve_batch(drift, [[0.1]], bh, grid)
     log_xi = girsanov_xi_batch(h, drift, bh[:, :, 0], dW[:, :, 0], grid, 0.1)
-    return bh, _weight_batch(h, a, jac, dW, grid), log_xi
+    pi = solve_batch(drift, [[0.1]], bh, grid, dual=_dual_batch(h, a, dW, grid))[3]
+    return bh, pi, log_xi
 
 whole = draw(0, 4096)
 one = draw(4095, 1)
@@ -348,8 +354,8 @@ def test_bits_match_across_blas_threads():
     """bh, pi and the Girsanov log xi of 4096 paths at N = 256 have the same
     bytes at 1 and 2 BLAS threads, and the last path has them as a batch of one.
 
-    With OpenBLAS, a GEMM put in any of these contractions (sampler, profile
-    or inverse kernel transform) still gives the same bytes at 1 and 2
+    With OpenBLAS, a GEMM put in any of these contractions (sampler, weight
+    dual or inverse kernel transform) still gives the same bytes at 1 and 2
     threads, since it does not split inner sums across threads; the batch of
     one, which BLAS computes as a GEMV, catches it.
     """

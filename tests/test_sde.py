@@ -140,7 +140,7 @@ class TestEulerSolver:
         grid = GridSpec(1.0, 64)
         _, bh = _path(grid, 1, 1, 0)
         m = mollify(ZeroDrift(), 0.05)
-        x, ends, _ = solve_batch(m, [[0.3]], bh, grid, path=True)
+        x, ends, _, _ = solve_batch(m, [[0.3]], bh, grid, path=True)
         np.testing.assert_allclose(x[0, :, 0], 0.3 + bh[0, :, 0], atol=1e-14)
         assert ends[0].tobytes() == x[:, -1].tobytes()
 
@@ -148,7 +148,7 @@ class TestEulerSolver:
         grid = GridSpec(1.0, 64)
         _, bh = _path(grid, 1, 1, 0)
         m = mollify(RegimeSwitchDrift(0.7, 0.7), 0.05)
-        x, _, _ = solve_batch(m, [[0.0]], bh, grid, path=True)
+        x, _, _, _ = solve_batch(m, [[0.0]], bh, grid, path=True)
         np.testing.assert_allclose(
             x[0, :, 0], 0.7 * grid.times + bh[0, :, 0], atol=1e-12
         )
@@ -161,18 +161,21 @@ class TestEulerSolver:
         for starts in (0.0, [0.0, 0.5], [[0.0]], [[0.0, 0.5, 1.0]], [[[0.0, 0.5]]]):
             with pytest.raises(ValueError, match="d=2"):
                 solve_batch(m, starts, bh, grid)
-        x, ends, jac = solve_batch(m, [[0.0, 0.5]], bh, grid, path=True)
+        x, ends, jac, _ = solve_batch(m, [[0.0, 0.5]], bh, grid, path=True)
         assert x.shape == jac.shape == bh.shape
         assert ends.shape == (1, 1, 2)
 
     def test_batch_matches_single(self):
-        # a path solved alone equals its row in a larger batch, bit for bit
+        # a path solved alone equals its row in a larger batch, bit for bit,
+        # and so does the weight its dual carries
         grid = GridSpec(1.0, 32)
         _, bh = sample_joint_batch(grid, H01, 1, 4, 0, 8)
+        rng = np.random.default_rng(4)
+        dual = rng.normal(0.0, 1.0, (8, 32, 1))
         m = mollify(RegimeSwitchDrift(1.0, -1.0), 0.05)
-        batch = solve_batch(m, [[0.1], [0.3]], bh, grid, path=True)
-        one = solve_batch(m, [[0.1], [0.3]], bh[6:7], grid, path=True)
-        for whole, single, axis in zip(batch, one, (0, 1, 0)):
+        batch = solve_batch(m, [[0.1], [0.3]], bh, grid, path=True, dual=dual)
+        one = solve_batch(m, [[0.1], [0.3]], bh[6:7], grid, path=True, dual=dual[6:7])
+        for whole, single, axis in zip(batch, one, (0, 1, 0, 0)):
             assert np.take(whole, [6], axis=axis).tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("n", [2, _STEP_BLOCK - 1, _STEP_BLOCK, _STEP_BLOCK + 1, 1024])
@@ -185,16 +188,17 @@ class TestEulerSolver:
         _, bh = sample_joint_batch(grid, H01, d, 5, 0, 6)
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.05), default_epsilon(grid, H01))
         starts = np.linspace(-0.2, 0.3, m * d).reshape(m, d)
-        x, ends, jac = solve_batch(drift, starts, bh, grid, path=True)
+        x, ends, jac, pi = solve_batch(drift, starts, bh, grid, path=True)
+        assert pi is None
         ref = _euler_reference(drift, starts[0], bh, grid)
         assert x.tobytes() == ref.tobytes()
         assert jac.tobytes() == _flow_reference(drift, ref, grid).tobytes()
         for i in range(m):
             assert ends[i].tobytes() == _euler_reference(drift, starts[i], bh, grid)[:, -1].tobytes()
-        # without the path, ends and the flow keep their bytes
+        # without the path, no x or flow array is built and ends keep their bytes
         lean = solve_batch(drift, starts, bh, grid)
-        assert lean[0] is None
-        assert lean[1].tobytes() == ends.tobytes() and lean[2].tobytes() == jac.tobytes()
+        assert lean[0] is None and lean[2] is None
+        assert lean[1].tobytes() == ends.tobytes()
 
 
 class TestFlow:
@@ -203,14 +207,14 @@ class TestFlow:
         grid = GridSpec(1.0, 1024)
         _, bh = _path(grid, 1, 2, 0)
         m = mollify(LinearDrift(lam), 0.05)
-        _, _, jac = solve_batch(m, [[0.2]], bh, grid)
+        _, _, jac, _ = solve_batch(m, [[0.2]], bh, grid, path=True)
         assert jac[0, -1, 0] == pytest.approx(math.exp(lam), rel=1e-2)
 
     def test_zero_drift_identity(self):
         grid = GridSpec(1.0, 16)
         _, bh = _path(grid, 1, 2, 0)
         m = mollify(ZeroDrift(), 0.05)
-        _, _, jac = solve_batch(m, [[0.0]], bh, grid)
+        _, _, jac, _ = solve_batch(m, [[0.0]], bh, grid, path=True)
         np.testing.assert_array_equal(jac, 1.0)
 
     def test_flow_matches_pathwise_fd(self):
@@ -219,7 +223,7 @@ class TestFlow:
         _, bh = _path(grid, 1, 8, 1)
         m = mollify(LinearDrift(0.5), 0.05)
         bump = 1e-5
-        _, ends, jac = solve_batch(m, [[0.2], [0.2 + bump], [0.2 - bump]], bh, grid)
+        _, ends, jac, _ = solve_batch(m, [[0.2], [0.2 + bump], [0.2 - bump]], bh, grid, path=True)
         fd = (ends[1, 0, 0] - ends[2, 0, 0]) / (2 * bump)
         assert abs(jac[0, -1, 0] - fd) < 1e-2
 
@@ -238,7 +242,7 @@ class TestFlow:
         bh = np.zeros((3, 5, 2))
         with pytest.raises(FloatingPointError, match="step 0 in component 1"):
             solve_batch(m, [[-1.0, 1.0]], bh, grid)
-        _, _, jac = solve_batch(m, [[-1.0]], bh[..., :1], grid)
+        _, _, jac, _ = solve_batch(m, [[-1.0]], bh[..., :1], grid, path=True)
         assert np.all(jac > 0.0)
 
 
@@ -276,3 +280,29 @@ class TestReplayableErrors:
         bh = _steps_to(2, 8, 1, [(0, 2, 0, 2.0), (0, 6, 0, 10.0)])
         with pytest.raises(FloatingPointError, match="state at step 3 from start 1 in batch row 0"):
             solve_batch(cliff, [[0.0], [4.0]], bh, grid)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+    def test_weight_fault_names_first_step_in_block(self):
+        # the weight is checked once per block; the step at which a row's
+        # running sum first turns non-finite is named, with the first such row
+        n = 2 * _STEP_BLOCK
+        grid = GridSpec(1.0, n)
+        bh = np.zeros((4, n + 1, 1))
+        zero = mollify(ZeroDrift(), 0.05)
+        dual = np.ones((4, n, 1))
+        dual[3, _STEP_BLOCK + 2] = np.inf
+        dual[2, _STEP_BLOCK + 5] = -np.inf
+        dual[1, _STEP_BLOCK + 5] = np.nan
+        with pytest.raises(
+            FloatingPointError,
+            match=f"non-finite weight contribution at step {_STEP_BLOCK + 2} in batch row 3$",
+        ):
+            solve_batch(zero, [[0.0]], bh, grid, dual=dual)
+        dual[3, _STEP_BLOCK + 2] = 1.0
+        with pytest.raises(FloatingPointError, match=f"at step {_STEP_BLOCK + 5} in batch row 1$"):
+            solve_batch(zero, [[0.0]], bh, grid, dual=dual)
+        # finite terms whose running sum overflows at the second of them
+        dual = np.ones((4, n, 1))
+        dual[2, 3:5] = 1e308
+        with pytest.raises(FloatingPointError, match="at step 4 in batch row 2$"):
+            solve_batch(zero, [[0.0]], bh, grid, dual=dual)
