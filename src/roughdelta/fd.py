@@ -137,7 +137,7 @@ def rv_payoff_runner(base_cfg, payoff, grid: GridSpec) -> Runner:
     """
     def run(x, master_seed, start, count):
         cfg = replace(base_cfg, x1=float(x[0]), x2=float(x[1]))
-        s, sigma, *_ = _simulate_batch(cfg, grid, master_seed, start, count)
-        return payoff(s[:, -1], sigma[:, -1])
+        s_T, sigma_T, *_ = _simulate_batch(cfg, grid, master_seed, start, count)
+        return payoff(s_T, sigma_T)
 
     return run

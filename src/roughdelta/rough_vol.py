@@ -4,7 +4,8 @@ The stock follows dS = mu S dt + g(sigma) S dW' with W' a Wiener process
 independent of the fractional noise; the volatility factor sigma follows the
 singular-drift SDE driven by fBm.  The delta vector in (x1, x2) = (initial
 price, initial vol factor) combines two Wiener-integral weights with the
-fractional Malliavin weight applied to the vol-factor flow.
+fractional Malliavin weight applied to the vol-factor flow.  The stock price
+cancels from both Wiener weights, so a batch keeps no stock path.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class VolMap:
     """Shifted-sigmoid volatility map g(z) = alpha + gamma / (1 + e^{-z}).
 
     Bounded with bounded first and second derivatives, and g > alpha > 0
-    everywhere, which keeps the (S g(sigma))^{-1} factor of the delta weights
+    everywhere, which keeps the 1 / g(sigma) factor of the delta weights
     finite.
     """
 
@@ -92,80 +93,76 @@ def _simulate_batch(
     cfg: RVConfig, grid: GridSpec, master_seed: int, start: int, count: int,
     a: WeightFn | None = None,
 ):
-    """Vectorized model simulation for consecutive path indices.
+    """Terminal values (S_T, sigma_T, dS_dx2[N], w) of consecutive path indices.
 
     Two disjoint counter streams per path: one for the fBm-generating Wiener
-    increments, one for the stock's Wiener increments.  The stock uses a
-    log-Euler step (exact for constant g, positivity-preserving); its
-    variation in x2 is the exact derivative of that discrete recursion, so
-    gamma = 0 gives dS_dx2 identically zero.  Returns path-major
-    (s, sigma, dS_dx2, dsigma_dx2, dW', w2b, g(sigma)), the last without its
-    terminal column.  w2b, the fractional weight of the vol-factor flow,
-    (count, 1), is accumulated in the sigma solve when a weight function a is
-    given and is None otherwise, so a caller that needs no weight pays
-    nothing for it.
+    increments, one for the stock's dW'.  The stock takes log-Euler steps
+    S_{k+1} = S_k step_k (exact for constant g, positivity-preserving), whose
+    exact x2-derivative is dS_dx2[k] = S_k Q_k with
+    Q_k = sum_{j<k} g'(sigma_j) J_j (dW'_j - g(sigma_j) dt), J the vol flow
+    (so 0 at gamma = 0).  S cancels from the Wiener weights
+    w1 = sum_k a(t_k) dW'_k / g(sigma_k) / x1 and
+    w2a = sum_k a(t_k) dW'_k / g(sigma_k) Q_k.  w = [w1, w2a + w2b], (count, 2),
+    with w2b the flow's fractional weight from the sigma solve; None without a.
 
-    The stock loop runs time-major, _STEP_BLOCK steps at a time: each block's
-    elementwise terms are formed at once, S is their running product
-    (multiply.accumulate multiplies in step order) and only the dS_dx2
-    recursion steps in Python, so every element keeps a per-step loop's bits.
+    The loop runs time-major, _STEP_BLOCK steps at a time, carrying only S,
+    Q, w1 and w2a per path (see _running), so S_T keeps a per-step loop's
+    bits.  A non-finite stock value names the block's first bad step and its
+    first bad row, and a non-finite w its batch row.
     """
-    n = grid.n_steps
-    dt = grid.dt
-    dW, bh = sample_joint_batch(
-        grid, cfg.h, 1, master_seed, start, count, stream=STREAM_FRACTIONAL
-    )
+    n, dt = grid.n_steps, grid.dt
+    dW, bh = sample_joint_batch(grid, cfg.h, 1, master_seed, start, count, STREAM_FRACTIONAL)
     dual = None if a is None else _dual_batch(cfg.h, a, dW, grid)
     del dW
-    dWp = wiener_increment_batch(grid, master_seed, start, count, stream=STREAM_STOCK)
     sigma, _, dsig, w2b = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True, dual=dual)
-    sigma, dsig = sigma[:, :, 0], dsig[:, :, 0]
-    s = np.empty((count, n + 1))
-    k2 = np.empty((count, n + 1))
-    gsig = np.empty((count, n))
-    s[:, 0] = cfg.x1
-    k2[:, 0] = 0.0
+    del bh, dual  # before dW' is drawn, so the solve's peak is the batch's
+    dWp = wiener_increment_batch(grid, master_seed, start, count, stream=STREAM_STOCK)
+    av = None if a is None else a.values(grid.times[:n])[:, None]
+    s, q, w1, w2a = np.full(count, float(cfg.x1)), *np.zeros((3, count))
     for k0 in range(0, n, _STEP_BLOCK):
         blk = slice(k0, min(k0 + _STEP_BLOCK, n))
-        nxt = slice(blk.start + 1, blk.stop + 1)
-        sig, dw, ds = (np.ascontiguousarray(v[:, blk].T) for v in (sigma, dWp, dsig))
-        gs, dg = cfg.g.value_and_deriv(sig)
-        step = np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dw)
-        sk = np.multiply.accumulate(np.vstack([s[:, k0], step]), axis=0)
-        drive = sk[1:] * dg * ds * (dw - gs * dt)
-        kk = np.empty_like(sk)
-        kk[0] = k2[:, k0]
-        for j in range(len(step)):
-            kk[j + 1] = kk[j] * step[j] + drive[j]
-        s[:, nxt], k2[:, nxt], gsig[:, blk] = sk[1:].T, kk[1:].T, gs.T
-    if not np.all(np.isfinite(s)):
-        row, step = np.argwhere(~np.isfinite(s))[0]
-        raise FloatingPointError(f"non-finite stock value at step {step} in batch row {row}")
-    return s, sigma, k2, dsig, dWp, w2b, gsig
+        gs, dg = cfg.g.value_and_deriv(np.ascontiguousarray(sigma[:, blk, 0].T))
+        dw = np.ascontiguousarray(dWp[:, blk].T)
+        sk = _running(np.multiply, s, np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dw))
+        if not np.all(np.isfinite(sk)):
+            j, row = np.argwhere(~np.isfinite(sk))[0]
+            raise FloatingPointError(f"non-finite stock value at step {k0 + j} in batch row {row}")
+        dg *= dsig[:, blk, 0].T
+        dg *= dw - gs * dt
+        qk = _running(np.add, q, dg)
+        if av is not None:
+            u = av[blk] * dw / gs
+            w1 = _running(np.add, w1, u)[-1].copy()  # views would keep the block's arrays
+            w2a = _running(np.add, w2a, u * qk[:-1])[-1].copy()
+        s, q = sk[-1].copy(), qk[-1].copy()
+    w = None if av is None else np.stack([w1 / cfg.x1, w2a + w2b[:, 0]], axis=1)
+    if w is not None and not np.all(np.isfinite(w)):
+        row = np.argwhere(~np.isfinite(w))[0, 0]
+        raise FloatingPointError(f"non-finite delta weight in batch row {row}")
+    return s, sigma[:, -1, 0], s * q, w
+
+
+def _running(ufunc, carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Rows carry, then ufunc's running product or sum over the time-major terms.
+
+    It steps one row at a time in step order for any batch width (np.add.reduce
+    would sum a batch of one pairwise), so no bit of a path depends on its batch.
+    """
+    return ufunc.accumulate(np.vstack([carry, terms]), axis=0)
 
 
 def _sbel_block(cfg: RVConfig, payoff, a: WeightFn, grid: GridSpec, master_seed, start, count):
     """sbel_delta's per-path (payoff * w1, payoff * (w2a + w2b)), (count, 2), as a 1-tuple.
 
-    Kernel, stock, division-guard and weight FloatingPointErrors are re-raised
-    with master_seed and start, so the batch row they name is path start + row.
+    Kernel, stock and weight FloatingPointErrors are re-raised with
+    master_seed and start, so the batch row they name is path start + row.
     """
-    n = grid.n_steps
     with _replayable(master_seed, start):
-        s, sigma, k2, dsig, dWp, w2b, gsig = _simulate_batch(cfg, grid, master_seed, start, count, a)
-        ginv = 1.0 / (s[:, :n] * gsig)
-        if not np.all(np.isfinite(ginv)):
-            row, step = np.argwhere(~np.isfinite(ginv))[0]
-            raise FloatingPointError(
-                f"division guard tripped: S g(sigma) not positive at step {step} in batch row {row}"
-            )
-        av = a.values(grid.times[:n])[None, :]
-        w1 = np.sum(av * ginv * (s[:, :n] / cfg.x1) * dWp, axis=1)
-        w2a = np.sum(av * ginv * k2[:, :n] * dWp, axis=1)
-    phi = np.asarray(payoff(s[:, -1], sigma[:, -1]), dtype=float).reshape(count)
+        s_T, sigma_T, _, w = _simulate_batch(cfg, grid, master_seed, start, count, a)
+    phi = np.asarray(payoff(s_T, sigma_T), dtype=float).reshape(count)
     if np.any(np.isnan(phi)):
         raise FloatingPointError("payoff returned NaN")
-    return (np.stack([phi * w1, phi * (w2a + w2b[:, 0])], axis=1),)
+    return (phi[:, None] * w,)
 
 
 def sbel_delta(
@@ -182,14 +179,16 @@ def sbel_delta(
 
     Per path, three weights are combined:
 
-      w1  = sum_k a(t_k) (S_k g(sigma_k))^{-1} dS_dx1[k] dW'_k
-      w2a = sum_k a(t_k) (S_k g(sigma_k))^{-1} dS_dx2[k] dW'_k
+      w1  = sum_k a(t_k) dW'_k / g(sigma_k) / x1
+      w2a = sum_k a(t_k) dW'_k / g(sigma_k) Q_k
       w2b = fractional Malliavin weight with the vol-factor flow against the
             fBm-generating Wiener increments (constant included)
 
-    and the estimate is (E[payoff * w1], E[payoff * (w2a + w2b)]).  The
-    payoff is a function of the terminal pair and must have finite second
-    moment under the simulated law.  batch_size is the number of paths in
+    with Q_k from _simulate_batch: S cancels from the Wiener weights
+    a (S g(sigma))^{-1} dS dW', so no stock path is kept.  The estimate is
+    (E[payoff * w1], E[payoff * (w2a + w2b)]).  The payoff is a function of
+    the terminal pair and must have finite second moment under the simulated
+    law.  batch_size is the number of paths in
     flight at once; it bounds memory and changes no bit of the result.  The
     slices of a batch call the payoff at once from worker threads, so it must
     be a pure, thread-safe function of its input.

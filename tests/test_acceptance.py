@@ -337,7 +337,7 @@ def test_10_reproducibility(tmp_path):
     pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
 
     def run_cli(out, threads):
-        env = {"PATH": "/usr/local/bin:/usr/bin:/bin", "PYTHONPATH": pythonpath}
+        env = {**os.environ, "PYTHONPATH": pythonpath}  # PYTHONDONTWRITEBYTECODE too
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = str(threads)
         r = subprocess.run(

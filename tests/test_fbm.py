@@ -363,7 +363,8 @@ def test_bits_match_across_blas_threads():
     pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in (1, 2):
-        env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": pythonpath}
+        # the caller's environment, so PYTHONDONTWRITEBYTECODE reaches the child
+        env = {**os.environ, "PYTHONPATH": pythonpath}
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = str(threads)
         r = subprocess.run(

@@ -10,13 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughdelta import bel
-from roughdelta.bel import WeightFn
-from roughdelta.frac_core import SampledFunction
-from roughdelta.fbm import GridSpec, sample_joint_batch
-from roughdelta.frac_core import HurstParam
-from roughdelta.rough_vol import RVConfig, VolMap, _sbel_block, _simulate_batch, sbel_delta
-from roughdelta.sde import _STEP_BLOCK, RegimeSwitchDrift, ZeroDrift, mollify
-from test_bel import _Cliff
+from roughdelta.bel import WeightFn, _dual_batch
+from roughdelta.fd import rv_payoff_runner
+from roughdelta.fbm import GridSpec, sample_joint_batch, wiener_increment_batch
+from roughdelta.frac_core import HurstParam, SampledFunction
+from roughdelta.rough_vol import (
+    STREAM_FRACTIONAL,
+    STREAM_STOCK,
+    RVConfig,
+    VolMap,
+    _sbel_block,
+    _simulate_batch,
+    sbel_delta,
+)
+from roughdelta.sde import _STEP_BLOCK, RegimeSwitchDrift, ZeroDrift, mollify, solve_batch
+from test_bel import _Cliff, _traced_peak
 
 H01 = HurstParam(0.1)
 
@@ -61,14 +69,24 @@ class TestRVConfig:
             _cfg(x1=0.0)
 
 
-def _one_path(cfg, grid, seed, index):
-    """Stock path s and its x2-variation k2 of one path, as a batch of one."""
-    s, _, k2, *_ = _simulate_batch(cfg, grid, seed, index, 1)
-    return s[0], k2[0]
+def _inputs(cfg, grid, seed, start, count, a=None):
+    """(sigma, dsig, dW', w2b) of paths start .., drawn and solved as _simulate_batch does."""
+    dW, bh = sample_joint_batch(grid, cfg.h, 1, seed, start, count, stream=STREAM_FRACTIONAL)
+    dual = None if a is None else _dual_batch(cfg.h, a, dW, grid)
+    sigma, _, dsig, w2b = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True, dual=dual)
+    dWp = wiener_increment_batch(grid, seed, start, count, stream=STREAM_STOCK)
+    return sigma[:, :, 0], dsig[:, :, 0], dWp, w2b
 
 
-def _stock_reference(cfg, sigma, dsig, dWp, grid):
-    """Independent oracle: the path-major stock loop over columns, with a masked sigmoid."""
+def _stock_reference(cfg, sigma, dsig, dWp, grid, a=None):
+    """Independent oracle: the path-major stock loop over columns, with a masked sigmoid.
+
+    Returns the stock path s, its x2-variation k2 by the per-step recursion
+    k2[k+1] = k2[k] step_k + S_{k+1} g'(sigma_k) J_k (dW'_k - g(sigma_k) dt),
+    that recursion's drive divided by S_{k+1}, and the terms of the weights
+    w1 and w2a as sums of a (S g(sigma))^{-1} dS dW' over the path (None
+    without a).
+    """
 
     def g(z):
         sig = np.empty_like(z)
@@ -81,6 +99,7 @@ def _stock_reference(cfg, sigma, dsig, dWp, grid):
     n, dt = grid.n_steps, grid.dt
     s = np.empty_like(sigma)
     k2 = np.zeros_like(sigma)
+    drive = np.empty((len(s), n))
     gsig = np.empty((len(s), n))
     s[:, 0] = cfg.x1
     for k in range(n):
@@ -88,55 +107,106 @@ def _stock_reference(cfg, sigma, dsig, dWp, grid):
         step = np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dWp[:, k])
         s[:, k + 1] = s[:, k] * step
         k2[:, k + 1] = k2[:, k] * step + s[:, k + 1] * gp * dsig[:, k] * (dWp[:, k] - gs * dt)
+        drive[:, k] = gp * dsig[:, k] * (dWp[:, k] - gs * dt)
         gsig[:, k] = gs
-    return s, k2, gsig
+    if a is None:
+        return s, k2, drive, None, None
+    ginv = 1.0 / (s[:, :n] * gsig)
+    av = a.values(grid.times[:n])[None, :]
+    return s, k2, drive, av * ginv * (s[:, :n] / cfg.x1) * dWp, av * ginv * k2[:, :n] * dWp
+
+
+def _assert_close_to_terms(got, terms, tol=1e-13):
+    """got equals each row's sum of terms within tol of that row's largest term."""
+    scale = np.max(np.abs(terms), axis=1)
+    assert np.all(np.abs(got - np.sum(terms, axis=1)) <= tol * scale)
+
+
+def _check_against_reference(cfg, grid, a, seed, count):
+    """_simulate_batch's terminal values against the path-major oracle.
+
+    S_T and sigma_T bitwise; k2_T, w1 and w2a + w2b within 1e-13 of each
+    row's largest term, and k2_T and w2a exactly 0 at gamma = 0.
+    """
+    s_T, sigma_T, k2_T, w = _simulate_batch(cfg, grid, seed, 0, count, a)
+    sigma, dsig, dWp, w2b = _inputs(cfg, grid, seed, 0, count, a)
+    s, k2, drive, t1, t2 = _stock_reference(cfg, sigma, dsig, dWp, grid, a)
+    assert s_T.tobytes() == s[:, -1].tobytes()
+    assert sigma_T.tobytes() == sigma[:, -1].tobytes()
+    # k2_T = sum_k S_T drive_k, whose running sum is what the recursion steps
+    assert np.all(np.abs(k2_T - k2[:, -1]) <= 1e-13 * np.max(np.abs(s[:, -1:] * drive), axis=1))
+    _assert_close_to_terms(w[:, 0], t1)
+    _assert_close_to_terms(w[:, 1], np.concatenate([t2, w2b], axis=1))
+    if cfg.g.gamma == 0:
+        assert np.all(k2_T == 0.0)
+        assert w[:, 1].tobytes() == w2b[:, 0].tobytes()  # w2a is exactly 0
+
+
+_X = np.linspace(0.0, 1.0, 5)
+
+
+def _custom_weight(c):
+    """A custom, unit-integral averaging function 1 + c (t - 1/2) on [0, 1]."""
+    return WeightFn(1.0, "custom", SampledFunction(_X, 1.0 + c * (_X - 0.5)))
 
 
 class TestSimulate:
     @pytest.mark.parametrize("n", [2, _STEP_BLOCK, _STEP_BLOCK + 1, 100])
     def test_stock_loop_matches_path_major_reference(self, n):
-        # the blocked time-major stock loop changes the layout only
-        grid = GridSpec(1.0, n)
-        cfg = _cfg(gamma=0.3, x2=0.1)
-        s, sigma, k2, dsig, dWp, _, gsig = _simulate_batch(cfg, grid, 3, 0, 7)
-        for got, ref in zip((s, k2, gsig), _stock_reference(cfg, sigma, dsig, dWp, grid)):
-            assert got.tobytes() == ref.tobytes()
+        # the blocked loop with S cancelled moves only the roundings of k2_T and w
+        _check_against_reference(_cfg(gamma=0.3, x2=0.1), GridSpec(1.0, n), WeightFn(1.0), 3, 7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([_STEP_BLOCK - 1, _STEP_BLOCK + 1]) | st.integers(2, 100),
+        gamma=st.just(0.0) | st.floats(1e-100, 1.0),  # g' stays a normal float
+        x1=st.floats(0.01, 100.0),
+        x2=st.floats(-1.0, 1.0),
+        mu=st.floats(-1.0, 1.0),
+        c=st.none() | st.floats(-1.9, 1.9),
+        seed=st.integers(0, 2**32),
+    )
+    def test_terminal_values_match_reference(self, n, gamma, x1, x2, mu, c, seed):
+        a = WeightFn(1.0) if c is None else _custom_weight(c)
+        cfg = _cfg(gamma=gamma, mu=mu, x1=x1, x2=x2)
+        _check_against_reference(cfg, GridSpec(1.0, n), a, seed, 5)
 
     def test_stock_positive(self):
-        s, _ = _one_path(_cfg(gamma=0.3), GridSpec(1.0, 64), 5, 2)
-        assert np.all(s > 0)
-        assert s[0] == 1.0
+        s_T, *_ = _simulate_batch(_cfg(gamma=0.3), GridSpec(1.0, 64), 5, 0, 64)
+        assert np.all(s_T > 0)
 
     def test_dx1_is_relative_price(self):
         # the stock is linear in x1, so dS/dx1 = S / x1 (the w1 weight's factor)
         grid = GridSpec(1.0, 64)
         bump = 1e-5
-        s, _ = _one_path(_cfg(gamma=0.3, x1=2.0), grid, 5, 2)
-        up, _ = _one_path(_cfg(gamma=0.3, x1=2.0 + bump), grid, 5, 2)
-        dn, _ = _one_path(_cfg(gamma=0.3, x1=2.0 - bump), grid, 5, 2)
-        np.testing.assert_allclose((up - dn) / (2 * bump), s / 2.0, rtol=1e-8)
+        s_T, up, dn = (
+            _simulate_batch(_cfg(gamma=0.3, x1=x1), grid, 5, 0, 16)[0]
+            for x1 in (2.0, 2.0 + bump, 2.0 - bump)
+        )
+        np.testing.assert_allclose((up - dn) / (2 * bump), s_T / 2.0, rtol=1e-8)
 
     def test_dx2_zero_when_gamma_zero(self):
-        _, k2 = _one_path(_cfg(gamma=0.0), GridSpec(1.0, 64), 5, 2)
-        np.testing.assert_array_equal(k2, 0.0)
+        _, _, k2_T, _ = _simulate_batch(_cfg(gamma=0.0), GridSpec(1.0, 64), 5, 0, 16)
+        np.testing.assert_array_equal(k2_T, 0.0)
 
     def test_dx2_matches_pathwise_fd(self):
         # exact derivative of the discrete recursion vs central differences
         grid = GridSpec(1.0, 128)
         bump = 1e-5
-        up, _ = _one_path(_cfg(gamma=0.3, x2=0.1 + bump), grid, 9, 4)
-        dn, _ = _one_path(_cfg(gamma=0.3, x2=0.1 - bump), grid, 9, 4)
-        _, k2 = _one_path(_cfg(gamma=0.3, x2=0.1), grid, 9, 4)
-        fd = (up[-1] - dn[-1]) / (2 * bump)
-        assert k2[-1] == pytest.approx(fd, rel=1e-3, abs=1e-6)
+        up, dn = (
+            _simulate_batch(_cfg(gamma=0.3, x2=x2), grid, 9, 4, 8)[0]
+            for x2 in (0.1 + bump, 0.1 - bump)
+        )
+        _, _, k2_T, _ = _simulate_batch(_cfg(gamma=0.3, x2=0.1), grid, 9, 4, 8)
+        np.testing.assert_allclose(k2_T, (up - dn) / (2 * bump), rtol=1e-3, atol=1e-6)
 
     def test_gbm_mean_when_gamma_zero(self):
         # constant volatility: E[S_T] = x1 e^{mu T}
         cfg = _cfg(gamma=0.0)
         grid = GridSpec(1.0, 64)
-        s, *_ = _simulate_batch(cfg, grid, 31, 0, 8000)
-        m = s[:, -1].mean()
-        se = s[:, -1].std(ddof=1) / math.sqrt(8000)
+        s_T, *_ = _simulate_batch(cfg, grid, 31, 0, 8000)
+        m = s_T.mean()
+        se = s_T.std(ddof=1) / math.sqrt(8000)
         assert abs(m - math.exp(0.05)) <= 4 * se
 
 
@@ -177,6 +247,32 @@ class TestSbelDelta:
             np.testing.assert_array_equal(e.stderr, e1.stderr)
 
 
+class TestBatchWorkingSet:
+    B, N = 4096, 256
+    PAYOFF = staticmethod(lambda s, sigma: np.maximum(s - 1.0, 0.0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_sbel_batch_holds_under_five_path_arrays(self, monkeypatch, workers):
+        # at its peak the sigma solve holds bh, the dual over dW, the vol path
+        # and its flow; dW' is drawn after bh and the dual go, and the stock
+        # loop carries (B,) rows only, so a kept stock path, its x2-variation
+        # or g(sigma) would add a path-sized array each
+        monkeypatch.setattr(bel, "_WORKERS", workers)
+        B, n = self.B, self.N
+        grid = GridSpec(1.0, n)
+        peak = _traced_peak(
+            lambda: sbel_delta(_cfg(gamma=0.3), self.PAYOFF, WeightFn(1.0), grid, B, 3)
+        )
+        assert peak < 5 * B * (n + 1) * 8
+
+    def test_fd_runner_holds_under_five_path_arrays(self):
+        # the vol path, its flow and dW', plus one block's temporaries
+        B, n = self.B, self.N
+        runner = rv_payoff_runner(_cfg(gamma=0.3), self.PAYOFF, GridSpec(1.0, n))
+        peak = _traced_peak(lambda: runner(np.array([1.0, 0.0]), 3, 0, B))
+        assert peak < 5 * B * (n + 1) * 8
+
+
 _FAULT_GRID = GridSpec(1.0, 16)
 
 
@@ -184,7 +280,8 @@ def _fault(case):
     """(seed, cfg, hit, message) of a fault that exactly one of paths 0 .. 63 meets.
 
     hit[p, k] is true where path p has met the fault by step k, and the
-    message is the fault's, to be formatted with the first such step k.
+    message is the fault's, to be formatted with the first such step k.  The
+    guard case is the finite check of the delta weights, which names no step.
     """
     if case in ("kernel", "weight"):
         # b = 0 below the level, so the vol state is x2 + bh; the state
@@ -198,15 +295,16 @@ def _fault(case):
             cliff, fault = _Cliff(0.0, np.inf, 2.5), "non-finite flow at step {k}"
         return 4, replace(_cfg(gamma=0.3), vol_drift=cliff), hit, fault
     # s scales with x1: at x1 = max / 2.6 the stock overflows where s > 2.6 at
-    # x1 = 1, and at x1 = 1 / (0.13 max) S g(sigma) underflows the guard where
-    # s g(sigma) < 0.13
+    # x1 = 1.  w1 = sum_k a dW'_k / g(sigma_k) / x1 does not depend on x1
+    # otherwise, so at x1 = 9 / max it overflows where |w1| > 9 at x1 = 1
     big = np.finfo(float).max
-    seed = 4 if case == "stock" else 5
-    s, *_, gsig = _simulate_batch(_cfg(gamma=0.3), _FAULT_GRID, seed, 0, 64)
+    cfg = _cfg(gamma=0.3)
     if case == "stock":
-        return seed, _cfg(gamma=0.3, x1=big / 2.6), s > 2.6, "non-finite stock value at step {k}"
-    fault = "division guard tripped: S g(sigma) not positive at step {k}"
-    return seed, _cfg(gamma=0.3, x1=1.0 / (0.13 * big)), s[:, :-1] * gsig < 0.13, fault
+        s = _stock_reference(cfg, *_inputs(cfg, _FAULT_GRID, 4, 0, 64)[:3], _FAULT_GRID)[0]
+        return 4, _cfg(gamma=0.3, x1=big / 2.6), s > 2.6, "non-finite stock value at step {k}"
+    w1 = _simulate_batch(cfg, _FAULT_GRID, 5, 0, 64, WeightFn(1.0))[3][:, 0]
+    x1 = 9.0 / big
+    return 5, _cfg(gamma=0.3, x1=x1), ~np.isfinite(w1 / x1)[:, None], "non-finite delta weight"
 
 
 # what a batch's re-raise appends to the fault's message
@@ -241,7 +339,6 @@ class TestReplayableErrors:
             _sbel_block(cfg, payoff, WeightFn(1.0), _FAULT_GRID, seed, path, 1)
 
 
-_X = np.linspace(0.0, 1.0, 5)
 _BASE_RV = _cfg(gamma=0.3)
 
 
@@ -272,9 +369,7 @@ _RV_CHANGES = {
     "x1": _other(st.floats(0.1, 5.0), 1.0).map(lambda v: _model(x1=v)),
     "x2": _other(st.floats(-1.0, 1.0), 0.0).map(lambda v: _model(x2=v)),
     "h": _other(st.floats(0.01, 0.49), 0.1).map(lambda v: _model(h=HurstParam(v))),
-    "a": st.floats(-1.9, 1.9).map(
-        lambda c: dict(a=WeightFn(1.0, "custom", SampledFunction(_X, 1.0 + c * (_X - 0.5))))
-    ),
+    "a": st.floats(-1.9, 1.9).map(lambda c: dict(a=_custom_weight(c))),
     "grid": _other(st.integers(2, 8), 4).map(lambda n: dict(grid=GridSpec(1.0, n))),
     "n_paths": st.integers(3, 6).map(lambda n: dict(n_paths=n)),
     "seed": st.integers(1, 2**64 - 1).map(lambda v: dict(seed=v)),
