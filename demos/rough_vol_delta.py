@@ -17,7 +17,6 @@ from roughdelta import (
     RVConfig,
     RegimeSwitchDrift,
     VolMap,
-    WeightFn,
     mollify,
     sbel_delta,
 )
@@ -39,21 +38,14 @@ print("Stock: dS = 0.05 S dt + g(sigma) S dW',  g(z) = 0.2 + 0.3 sigmoid(z)")
 print("Volatility factor: regime-switching drift driven by rough noise, h = 0.1\n")
 
 est = sbel_delta(
-    cfg,
-    lambda s, sigma: np.maximum(s - strike, 0.0),
-    WeightFn(grid.horizon),
-    grid,
-    n_paths,
-    master_seed=5,
+    cfg, lambda s, sigma: np.maximum(s - strike, 0.0), grid, n_paths, master_seed=5
 )
 print(f"Call (K={strike}) deltas from {n_paths} paths:")
 print(f"  d/dx1 (price):       {est.mean[0]:.4f} ± {est.stderr[0]:.4f}")
 print(f"  d/dx2 (vol factor):  {est.mean[1]:.4f} ± {est.stderr[1]:.4f}")
 
 # sanity anchor: the linear payoff has the closed-form price delta e^{mu T}
-lin = sbel_delta(
-    cfg, lambda s, sigma: s, WeightFn(grid.horizon), grid, n_paths, master_seed=5
-)
+lin = sbel_delta(cfg, lambda s, sigma: s, grid, n_paths, master_seed=5)
 print(
     f"\nLinear payoff d/dx1: {lin.mean[0]:.4f} ± {lin.stderr[0]:.4f}"
     f" (closed form e^mu = {math.exp(cfg.mu):.4f})"

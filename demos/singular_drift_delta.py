@@ -12,7 +12,6 @@ from roughdelta import (
     GridSpec,
     HurstParam,
     RegimeSwitchDrift,
-    WeightFn,
     estimate_delta,
     make_payoff,
     mollify,
@@ -29,9 +28,7 @@ n_paths = 20000
 print("Model: dX = b(X) dt + dB^h, b = +1 above 0 and -1 below (mollified)")
 print(f"Payoff: call struck at 0.2, X_0 = {x0}, h = {h.h}, N = {grid.n_steps}\n")
 
-est = estimate_delta(
-    drift, x0, payoff, h, WeightFn(grid.horizon), grid, n_paths, master_seed=7
-)
+est = estimate_delta(drift, x0, payoff, h, grid, n_paths, master_seed=7)
 print(f"Malliavin-weight delta: {est.mean[0]:.4f} ± {est.stderr[0]:.4f}")
 
 runner = sde_payoff_runner(drift, payoff, h, grid)

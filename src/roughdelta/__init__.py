@@ -44,7 +44,6 @@ from .sde import (
 from .bel import (
     DeltaEstimate,
     PAYOFF_NAMES,
-    WeightFn,
     estimate_delta,
     make_payoff,
 )

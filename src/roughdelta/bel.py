@@ -6,7 +6,9 @@ the Wiener increments; no derivative of the payoff is required.  Exchanging
 the order of the weight's sums turns it into the flow dotted with a
 flow-free dual of the increments, one O(N log N) FFT correlation per path
 formed before the solve and written over dW; the Euler/flow solve then
-accumulates pi as it steps, so no flow array is kept.  A batch runs as one
+accumulates pi as it steps, so no flow array is kept.  The weight averages
+over [0, T] with the uniform function a = 1/T of the Bismut-Elworthy-Li form
+(Fournie et al., 1999), T the grid's horizon.  A batch runs as one
 slice of paths per worker thread, and across its slices it holds two
 path-sized arrays (dW, then the dual over it, and bh) plus the sampler's
 FFT scratch.
@@ -21,16 +23,15 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import copy_context
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .frac_core import _CONV_ROWS, HurstParam, SampledFunction, _causal_conv, _conv_rows, big_c_h
+from .frac_core import _CONV_ROWS, HurstParam, _causal_conv, _conv_rows, big_c_h
 from .fbm import GridSpec, sample_joint_batch
 from .sde import MollifiedDrift, solve_batch
 
 __all__ = [
-    "WeightFn",
     "DeltaEstimate",
     "estimate_delta",
     "make_payoff",
@@ -50,51 +51,6 @@ except AttributeError:  # no affinity API on this platform
 
 
 @dataclass(frozen=True)
-class WeightFn:
-    """Averaging function a on [0, T] with unit integral.
-
-    kind 'uniform' is a = 1/T exactly; 'custom' carries sampled values on a
-    grid that spans [0, T], whose trapezoidal integral over [0, T] must equal
-    1 within 1e-10.
-    """
-
-    horizon: float
-    kind: str = "uniform"
-    samples: Optional[SampledFunction] = None
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.kind not in ("uniform", "custom"):
-            raise ValueError(f"unknown weight-fn kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.samples is None:
-                raise ValueError("custom weight function needs samples")
-            grid = self.samples.grid
-            if grid[0] > 0 or grid[-1] < self.horizon:
-                raise ValueError(
-                    f"weight function sampled on [{grid[0]}, {grid[-1]}] must cover"
-                    f" [0, {self.horizon}]"
-                )
-            s = np.concatenate(([0.0], grid[(grid > 0) & (grid < self.horizon)], [self.horizon]))
-            total = float(np.trapezoid(self.values(s), s))
-            if abs(total - 1.0) > 1e-10:
-                raise ValueError(f"weight function must integrate to 1, got {total}")
-
-    def values(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if self.kind == "uniform":
-            return np.full_like(s, 1.0 / self.horizon)
-        return np.interp(s, self.samples.grid, self.samples.values)
-
-    def digest_parts(self) -> tuple:
-        """config_digest's parts; samples go in as float lists (array reprs round)."""
-        if self.kind == "uniform":
-            return (self.kind, self.horizon)
-        return (self.kind, self.horizon, self.samples.grid.tolist(), self.samples.values.tolist())
-
-
-@dataclass(frozen=True)
 class DeltaEstimate:
     """Monte-Carlo delta with entrywise standard errors and run provenance."""
 
@@ -104,13 +60,13 @@ class DeltaEstimate:
     config_digest: str
 
 
-def _dual_batch(h: HurstParam, a: WeightFn, dW: np.ndarray, grid: GridSpec):
+def _dual_batch(h: HurstParam, dW: np.ndarray, grid: GridSpec):
     """The weight's dual for solve_batch, coef R, written over dW, shape (B, n, d).
 
     The weight pi = C_H sum_{k>=1} g(s_k) dW_k has the profile
     g(s_k) = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] J[m-1], where cint[j] is
     the exact cell integral of u^{-H-1/2} over [t_j, t_{j+1}], c2[m] =
-    a(u) u^{1/2-H} at the midpoint lag u = (m-1/2) dt, and the flow J is taken
+    u^{1/2-H} / T at the midpoint lag u = (m-1/2) dt, and the flow J is taken
     at the left index m-1 to keep the Ito sum adapted.  Exchanging the two sums
     gives pi = sum_j coef[j] J[j] R[:, j], with coef = C_H c2 and the flow-free
     R_j = sum_{k>=j} cint[k-j] s_{k+1}^{H-1/2} dW_{k+1} (R_{n-1} = 0), an
@@ -133,7 +89,7 @@ def _dual_batch(h: HurstParam, a: WeightFn, dW: np.ndarray, grid: GridSpec):
     e = 0.5 - h.h
     cint = (t[1:] ** e - t[:-1] ** e) / e  # exact power antiderivative per cell
     lag = (np.arange(1, n + 1) - 0.5) * grid.dt
-    c2 = a.values(lag) * lag**e
+    c2 = (1.0 / grid.horizon) * lag**e
     rev_scale = np.append(t[n - 1 : 0 : -1] ** (h.h - 0.5), 0.0)  # s_{n-1-i}^{H-1/2}, then 0
     fc = np.fft.rfft(cint, 2 * n)
     coef = big_c_h(h) * c2[: n - 1]
@@ -188,11 +144,11 @@ def config_digest(*parts, unlabeled: bool = False) -> str:
     return "unlabeled-" + digest if unlabeled else digest
 
 
-def _mc_mean(n_paths: int, batch_size: int, block):
+def _mc_mean(n_paths: int, block):
     """(mean, stderr) of each per-path quantity, computed batch by batch.
 
     ``block(start, count)`` returns one (count, d_i) array per quantity for
-    paths start .. start+count-1.  Each batch of at most batch_size paths,
+    paths start .. start+count-1.  Each batch of at most DEFAULT_BATCH paths,
     the paths in flight at once, is cut into one contiguous slice per usable
     core (_WORKERS); the calling thread runs the first slice and worker
     threads the others, and each slice's rows land at their own offsets.
@@ -216,8 +172,8 @@ def _mc_mean(n_paths: int, batch_size: int, block):
 
     # threads start only on the first submit, so one worker starts none
     with ThreadPoolExecutor(max(1, _WORKERS - 1)) as pool:
-        for done in range(0, n_paths, batch_size):
-            count = min(batch_size, n_paths - done)
+        for done in range(0, n_paths, DEFAULT_BATCH):
+            count = min(DEFAULT_BATCH, n_paths - done)
             size = -(-count // _WORKERS)
             slices = [(s, min(size, done + count - s)) for s in range(done, done + count, size)]
             futures = [pool.submit(copy_context().run, run_slice, *s) for s in slices[1:]]
@@ -259,7 +215,7 @@ def _replayable(master_seed: int, start: int):
         ) from err
 
 
-def _bel_block(drift, starts: np.ndarray, h, a, grid, master_seed, start, count):
+def _bel_block(drift, starts: np.ndarray, h, grid, master_seed, start, count):
     """Weight pi of starts[0], (count, d), and every start's X_T, (m, count, d).
 
     Draws paths start .. start+count-1, writes the weight's dual over dW and
@@ -273,7 +229,7 @@ def _bel_block(drift, starts: np.ndarray, h, a, grid, master_seed, start, count)
     """
     dW, bh = sample_joint_batch(grid, h, starts.shape[1], master_seed, start, count)
     with _replayable(master_seed, start):
-        _, ends, _, pi = solve_batch(drift, starts, bh, grid, dual=_dual_batch(h, a, dW, grid))
+        _, ends, _, pi = solve_batch(drift, starts, bh, grid, dual=_dual_batch(h, dW, grid))
         return pi, ends
 
 
@@ -282,20 +238,20 @@ def estimate_delta(
     x0,
     payoff: Callable[[np.ndarray], np.ndarray],
     h: HurstParam,
-    a: WeightFn,
     grid: GridSpec,
     n_paths: int,
     master_seed: int,
-    batch_size: int = DEFAULT_BATCH,
     payoff_label: str = "",
 ) -> DeltaEstimate:
     """Monte-Carlo delta of E[payoff(X_T)] in the initial state.
 
     Per path: joint (Wiener, fBm) sample -> dual of the increments -> Euler
-    state and flow, which accumulate the weight pi; the estimate is the
-    sample mean of payoff(X_T) * pi with entrywise standard errors.  Accumulation is compensated and batch-order fixed, so
-    the result depends only on (inputs, master_seed): batch_size, the paths
-    in flight at once, bounds memory and changes no bit.
+    state and flow, which accumulate the weight pi, averaged with a = 1/T
+    over grid's horizon T; the estimate is the sample mean of
+    payoff(X_T) * pi with entrywise standard errors.  Accumulation is
+    compensated and batch-order fixed, so the result depends only on
+    (inputs, master_seed): DEFAULT_BATCH, the paths in flight at once,
+    bounds memory and changes no bit.
 
     The payoff receives the (B, d) terminal-state block and must return one
     value per path; it must be square-integrable under the simulated law
@@ -305,12 +261,11 @@ def estimate_delta(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     def block(start, count):
-        pi, ends = _bel_block(drift, x0[None], h, a, grid, master_seed, start, count)
+        pi, ends = _bel_block(drift, x0[None], h, grid, master_seed, start, count)
         return (_weighted(payoff, ends[0], pi),)
 
-    ((mean, stderr),) = _mc_mean(n_paths, batch_size, block)
+    ((mean, stderr),) = _mc_mean(n_paths, block)
     digest = config_digest(
-        grid, h, master_seed, drift, x0.tolist(), payoff_label, *a.digest_parts(), n_paths,
-        unlabeled=not payoff_label,
+        grid, h, master_seed, drift, x0.tolist(), payoff_label, n_paths, unlabeled=not payoff_label
     )
     return DeltaEstimate(mean=mean, stderr=stderr, n_paths=n_paths, config_digest=digest)

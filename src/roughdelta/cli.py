@@ -45,8 +45,7 @@ from .sde import (
     mollify,
 )
 from .bel import (
-    DEFAULT_BATCH, PAYOFF_NAMES, WeightFn, _bel_block, _mc_mean, _payoff_at, _weighted,
-    make_payoff,
+    DEFAULT_BATCH, PAYOFF_NAMES, _bel_block, _mc_mean, _payoff_at, _weighted, make_payoff,
 )
 from .rough_vol import RVConfig, VolMap, sbel_delta
 from .girsanov import girsanov_xi_batch
@@ -71,7 +70,6 @@ class RunConfig:
     epsilon: float = 0.0  # 0 means: use the grid-coupled default
     payoff: str = "identity"
     strike: float = 0.0
-    weight_fn: str = "uniform"
     x0: float = 0.0
     x1: float = 1.0
     x2: float = 0.0
@@ -258,21 +256,18 @@ def _run_delta_sde(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
     """
     drift = _resolved_drift(cfg, grid, h)
     payoff = make_payoff(cfg.payoff, cfg.strike)
-    a = WeightFn(cfg.horizon, cfg.weight_fn)
     x0 = np.array([cfg.x0])
     bump = 0.1 * cfg.horizon**h.h
     starts = np.stack([x0, x0 + bump, x0 - bump])
 
     def block(start, count):
-        pi, ends = _bel_block(drift, starts, h, a, grid, cfg.seed, start, count)
+        pi, ends = _bel_block(drift, starts, h, grid, cfg.seed, start, count)
         bel = _weighted(payoff, ends[0], pi)
         up, dn = (_payoff_at(payoff, xt) for xt in ends[1:])
         fd = _central(up, dn, bump)[:, None]
         return bel, fd, bel - fd
 
-    (bel_mean, bel_se), (fd_mean, fd_se), (gap, gap_se) = _mc_mean(
-        cfg.paths, DEFAULT_BATCH, block
-    )
+    (bel_mean, bel_se), (fd_mean, fd_se), (gap, gap_se) = _mc_mean(cfg.paths, block)
     rows = [
         _row("delta_bel", 0, bel_mean[0], bel_se[0], cfg.paths),
         _row("delta_fd", 0, fd_mean[0], fd_se[0], cfg.paths),
@@ -287,15 +282,8 @@ def _run_delta_rv(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
     g = VolMap(cfg.g_alpha, cfg.g_gamma)
     model = RVConfig(mu=cfg.mu, g=g, vol_drift=drift, x1=cfg.x1, x2=cfg.x2, h=h)
     scalar = make_payoff(cfg.payoff, cfg.strike)
-    a = WeightFn(cfg.horizon, cfg.weight_fn)
     est = sbel_delta(
-        model,
-        lambda s, sigma: scalar(s),
-        a,
-        grid,
-        cfg.paths,
-        cfg.seed,
-        payoff_label=cfg.payoff,
+        model, lambda s, sigma: scalar(s), grid, cfg.paths, cfg.seed, payoff_label=cfg.payoff
     )
     rows = [
         _row("delta_rv", "x1", est.mean[0], est.stderr[0], est.n_paths),
@@ -369,15 +357,14 @@ def _validate_rows(cfg: RunConfig):
     # estimate_delta call.
     grid = GridSpec(1.0, 128)
     zero = mollify(ZeroDrift(), default_epsilon(grid, h))
-    a = WeightFn(1.0)
     identity, digital = make_payoff("identity"), make_payoff("digital", 0.3)
 
     def block(start, count):
-        pi, ends = _bel_block(zero, np.array([[0.0], [0.1]]), h, a, grid, cfg.seed, start, count)
+        pi, ends = _bel_block(zero, np.array([[0.0], [0.1]]), h, grid, cfg.seed, start, count)
         return _weighted(identity, ends[0], pi), _weighted(digital, ends[1], pi)
 
     targets = {"identity": 1.0, "digital": gaussian_digital_delta(0.1, 0.3, 1.0, h)}
-    for (name, target), (mean, se) in zip(targets.items(), _mc_mean(20000, DEFAULT_BATCH, block)):
+    for (name, target), (mean, se) in zip(targets.items(), _mc_mean(20000, block)):
         rows.append(
             _row("gaussian_delta", name, mean[0], se[0], 20000, target=target, tol=5 * se[0])
         )
@@ -431,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="mollifier width; 0 = grid default")
     p.add_argument("--payoff", choices=PAYOFF_NAMES)
     p.add_argument("--strike", type=float)
-    p.add_argument("--weight-fn", dest="weight_fn", choices=("uniform",))
     p.add_argument("--x0", type=float)
     p.add_argument("--x1", type=float)
     p.add_argument("--x2", type=float)

@@ -19,7 +19,7 @@ import numpy as np
 from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch
 from .sde import MollifiedDrift, solve_batch
-from .bel import DEFAULT_BATCH, _mc_mean, _payoff_at, _replayable
+from .bel import _mc_mean, _payoff_at, _replayable
 from .rough_vol import _simulate_batch
 
 __all__ = [
@@ -46,25 +46,19 @@ class FDEstimate:
     n_paths: int
 
 
-def fd_delta(
-    model_runner: Runner,
-    x,
-    bump: float,
-    n_paths: int,
-    master_seed: int,
-    batch_size: int = DEFAULT_BATCH,
-) -> FDEstimate:
+def fd_delta(model_runner: Runner, x, bump: float, n_paths: int, master_seed: int) -> FDEstimate:
     """Central finite-difference delta per coordinate under shared seeds.
 
     For coordinate i the estimate averages
     [phi(x + bump e_i) - phi(x - bump e_i)] / (2 bump) over paths, with the
     same path seed on both sides.  The standard error is computed from the
     per-path paired differences (variance of the difference, not the
-    difference of variances).  batch_size is the number of paths in flight at
-    once and changes no bit.  A runner's FloatingPointError is re-raised with
-    master_seed and the first path of its slice, so the batch row it names is
-    path start + row.  The slices of a batch call model_runner at once from
-    worker threads, so it and the payoff it evaluates must be thread-safe.
+    difference of variances).  bel.DEFAULT_BATCH, the number of paths in
+    flight at once, changes no bit.  A runner's FloatingPointError is
+    re-raised with master_seed and the first path of its slice, so the batch
+    row it names is path start + row.  The slices of a batch call
+    model_runner at once from worker threads, so it and the payoff it
+    evaluates must be thread-safe.
     """
     if bump <= 0:
         raise ValueError("bump must be positive")
@@ -75,7 +69,7 @@ def fd_delta(
         with _replayable(master_seed, start):
             return (_central_diffs(run, x, bump),)
 
-    ((value, stderr),) = _mc_mean(n_paths, batch_size, block)
+    ((value, stderr),) = _mc_mean(n_paths, block)
     return FDEstimate(value=value, stderr=stderr, bump=bump, n_paths=n_paths)
 
 

@@ -9,18 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughdelta import bel
-from roughdelta.bel import (
-    WeightFn,
-    _bel_block,
-    _dual_batch,
-    estimate_delta,
-    make_payoff,
-)
+from roughdelta.bel import _bel_block, _dual_batch, estimate_delta, make_payoff
 from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.fd import fd_delta, sde_payoff_runner
-from roughdelta.frac_core import (
-    _CONV_ROWS, HurstParam, SampledFunction, _causal_conv, _conv_rows, big_c_h,
-)
+from roughdelta.frac_core import _CONV_ROWS, HurstParam, _causal_conv, _conv_rows, big_c_h
 from roughdelta.sde import (
     RegimeSwitchDrift,
     ZeroDrift,
@@ -30,18 +22,15 @@ from roughdelta.sde import (
 )
 
 H01 = HurstParam(0.1)
+# Grid horizons of the weight tests: the weight averages with a = 1/T
+_HORIZONS, _HORIZON_IDS = (1.0, 2.0), ("uniform", "uniform-T2")
 
 
-def _linear_weight(horizon=1.0, m=5, c=0.3):
-    """Custom WeightFn a(s) = (1 + c (s - T/2)) / T on m points; unit integral."""
-    x = np.linspace(0.0, horizon, m)
-    return WeightFn(horizon, "custom", SampledFunction(x, (1.0 + c * (x - horizon / 2)) / horizon))
-
-
-def _dense_profile(h, a, jac, grid):
+def _dense_profile(h, jac, grid):
     """Independent oracle: the profile as a dense Toeplitz-times-diagonal sum.
 
-    M[m-1, k-1] = cint[k-m] c2[m] for m <= k, and g[:, k] = s_k^{H-1/2}
+    M[m-1, k-1] = cint[k-m] c2[m] for m <= k, with c2 = u^{1/2-H} / T at the
+    midpoint lags u, and g[:, k] = s_k^{H-1/2}
     sum_m M[m-1, k-1] jac[:, m-1], summed directly in O(N^2).
     """
     n = grid.n_steps
@@ -49,7 +38,7 @@ def _dense_profile(h, a, jac, grid):
     e = 0.5 - h.h
     cint = (t[1:] ** e - t[:-1] ** e) / e
     lag = (np.arange(1, n + 1) - 0.5) * grid.dt
-    c2 = a.values(lag) * lag**e
+    c2 = lag**e / grid.horizon
     diff = np.arange(n)[None, :] - np.arange(n)[:, None]
     M = np.where(diff >= 0, cint[np.maximum(diff, 0)], 0.0) * c2[:, None]
     g = np.zeros_like(jac)
@@ -57,7 +46,7 @@ def _dense_profile(h, a, jac, grid):
     return g
 
 
-def _profile_batch(h, a, jac, grid):
+def _profile_batch(h, jac, grid):
     """Oracle: the whole profile g, shape (B, n+1, d), with g[:, 0] = 0.
 
     g[:, k] = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] jac[:, m-1], one FFT causal
@@ -70,7 +59,7 @@ def _profile_batch(h, a, jac, grid):
     e = 0.5 - h.h
     cint = (t[1:] ** e - t[:-1] ** e) / e
     lag = (np.arange(1, n + 1) - 0.5) * grid.dt
-    c2 = a.values(lag) * lag**e
+    c2 = lag**e / grid.horizon
     scale = t[1:] ** (h.h - 0.5)
     fc = np.fft.rfft(cint, 2 * n)
     g = np.zeros_like(jac)
@@ -80,21 +69,21 @@ def _profile_batch(h, a, jac, grid):
     return g
 
 
-def _reference_weight(h, a, jac, dW, grid):
+def _reference_weight(h, jac, dW, grid):
     """Oracle for the fused weight: the whole profile, then one sum per row.
 
     Returns pi, (B, d), and the largest of each row's terms C_H g(s_k) dW_k,
     the scale of its rounding.
     """
     n = grid.n_steps
-    terms = big_c_h(h) * _profile_batch(h, a, jac, grid)[:, 1:n] * dW[:, 1:n]
+    terms = big_c_h(h) * _profile_batch(h, jac, grid)[:, 1:n] * dW[:, 1:n]
     return terms.sum(axis=1), np.max(np.abs(terms), axis=1, initial=0.0)
 
 
-def _fused_weight(drift, h, a, dW, bh, grid, x0=0.0):
+def _fused_weight(drift, h, dW, bh, grid, x0=0.0):
     """(pi, jac) from one solve that carries the weight's dual; dW is left as it was."""
     d = dW.shape[2]
-    dual = _dual_batch(h, a, dW.copy(), grid)
+    dual = _dual_batch(h, dW.copy(), grid)
     _, _, jac, pi = solve_batch(drift, np.full((1, d), x0), bh, grid, path=True, dual=dual)
     return pi, jac
 
@@ -144,42 +133,6 @@ def _zero_drift_flows(grid, seed, start, count):
     return dW, bh, solve_batch(_ZERO, [[0.0]], bh, grid, path=True)[2]
 
 
-class TestWeightFn:
-    def test_uniform(self):
-        a = WeightFn(2.0)
-        np.testing.assert_allclose(a.values(np.array([0.0, 1.0, 2.0])), 0.5)
-
-    def test_custom_must_normalize(self):
-        g = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            WeightFn(1.0, "custom", SampledFunction(g, 2.0 * np.ones_like(g)))
-        a = WeightFn(1.0, "custom", SampledFunction(g, np.ones_like(g)))
-        assert a.values(np.array([0.5]))[0] == 1.0
-
-    def test_custom_must_cover_horizon(self):
-        # np.interp clamps outside the samples, so a = 2 on [0, 0.5] would
-        # integrate to 2 over [0, 1]
-        with pytest.raises(ValueError, match="must cover"):
-            WeightFn(1.0, "custom", SampledFunction([0, 0.5], [2, 2]))
-        with pytest.raises(ValueError, match="must cover"):
-            WeightFn(1.0, "custom", SampledFunction([0.5, 1.0], [2, 2]))
-
-    def test_custom_integral_is_over_horizon(self):
-        # samples beyond the horizon count only up to it
-        a = WeightFn(1.0, "custom", SampledFunction([-1.0, 2.0], [1.0, 1.0]))
-        assert a.values(np.array([0.5]))[0] == 1.0
-        with pytest.raises(ValueError, match="integrate to 1"):
-            WeightFn(1.0, "custom", SampledFunction([0.0, 2.0], [0.5, 0.5]))
-
-    def test_custom_needs_samples(self):
-        with pytest.raises(ValueError):
-            WeightFn(1.0, "custom")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            WeightFn(1.0, "spline")
-
-
 class TestPayoffRegistry:
     def test_all_names(self):
         x = np.array([-1.0, 0.5, 2.0])
@@ -197,7 +150,7 @@ class TestWeightProfile:
     def test_starts_at_zero(self):
         grid = GridSpec(1.0, 32)
         _, _, jac = _zero_drift_flows(grid, 1, 0, 1)
-        g = _profile_batch(H01, WeightFn(1.0), jac, grid)
+        g = _profile_batch(H01, jac, grid)
         assert g.shape == (1, 33, 1)
         assert g[0, 0, 0] == 0.0
         assert np.all(np.isfinite(g))
@@ -205,7 +158,7 @@ class TestWeightProfile:
     def test_positive_for_identity_flow(self):
         grid = GridSpec(1.0, 32)
         _, _, jac = _zero_drift_flows(grid, 1, 0, 1)
-        g = _profile_batch(H01, WeightFn(1.0), jac, grid)
+        g = _profile_batch(H01, jac, grid)
         assert np.all(g[0, 1:, 0] > 0.0)
 
     def test_grid_mismatch(self):
@@ -213,22 +166,21 @@ class TestWeightProfile:
         dW, _, jac = _zero_drift_flows(grid, 1, 0, 1)
         other = GridSpec(1.0, 16)
         with pytest.raises(ValueError, match="33 time points, grid has 17"):
-            _profile_batch(H01, WeightFn(1.0), jac, other)
+            _profile_batch(H01, jac, other)
         with pytest.raises(ValueError, match="32 steps, grid has 16"):
-            _dual_batch(H01, WeightFn(1.0), dW, other)
+            _dual_batch(H01, dW, other)
 
 
     @pytest.mark.parametrize("n", [2, 3, 128, 1024])
     @pytest.mark.parametrize("hv", [0.05, 0.1, 0.3])
-    @pytest.mark.parametrize("custom", [False, True], ids=["uniform", "custom"])
-    def test_matches_dense_oracle(self, n, hv, custom):
-        grid = GridSpec(1.0, n)
+    @pytest.mark.parametrize("horizon", _HORIZONS, ids=_HORIZON_IDS)
+    def test_matches_dense_oracle(self, n, hv, horizon):
+        grid = GridSpec(horizon, n)
         h = HurstParam(hv)
-        a = _linear_weight(m=7, c=1.5) if custom else WeightFn(1.0)
         rng = np.random.default_rng(n)
         jac = np.exp(np.cumsum(rng.normal(0.0, 0.1, (5, n + 1, 2)), axis=1))
-        g = _profile_batch(h, a, jac, grid)
-        ref = _dense_profile(h, a, jac, grid)
+        g = _profile_batch(h, jac, grid)
+        ref = _dense_profile(h, jac, grid)
         assert g[:, 0].tobytes() == np.zeros_like(g[:, 0]).tobytes()
         row_max = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.all(np.abs(g - ref) <= 1e-12 * row_max)
@@ -241,33 +193,31 @@ class TestWeightProfile:
         # transform, and the fused weight matches the whole profile and one
         # einsum (the form before the sums were exchanged) to rounding
         assert _CONV_ROWS < 520 // 2
-        grid = GridSpec(1.0, n)
-        dW, bh = sample_joint_batch(grid, H01, d, n + d, 0, 520)
-        for a in (WeightFn(1.0), _linear_weight(m=7, c=1.5)):
-            pi, jac = _fused_weight(_DRIFT, H01, a, dW, bh, grid, 0.1)
+        for grid in (GridSpec(horizon, n) for horizon in _HORIZONS):
+            dW, bh = sample_joint_batch(grid, H01, d, n + d, 0, 520)
+            pi, jac = _fused_weight(_DRIFT, H01, dW, bh, grid, 0.1)
             token = _conv_rows.set(520)
             try:
-                whole, _ = _fused_weight(_DRIFT, H01, a, dW, bh, grid, 0.1)
+                whole, _ = _fused_weight(_DRIFT, H01, dW, bh, grid, 0.1)
             finally:
                 _conv_rows.reset(token)
             assert pi.tobytes() == whole.tobytes()
-            ref, scale = _reference_weight(H01, a, jac, dW, grid)
+            ref, scale = _reference_weight(H01, jac, dW, grid)
             assert np.all(np.abs(pi - ref) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("n", [2, 3, 64, 257, 1024])
     @pytest.mark.parametrize("hv", [0.05, 0.1, 0.3])
-    @pytest.mark.parametrize("custom", [False, True], ids=["uniform", "custom"])
+    @pytest.mark.parametrize("horizon", _HORIZONS, ids=_HORIZON_IDS)
     @pytest.mark.parametrize("d", [1, 2])
-    def test_fused_weight_matches_profile_oracle(self, n, hv, custom, d):
+    def test_fused_weight_matches_profile_oracle(self, n, hv, horizon, d):
         # pi accumulated in the solve against the flow-free dual equals the
         # profile form's weight to within 1e-13 of each row's largest term
-        grid = GridSpec(1.0, n)
+        grid = GridSpec(horizon, n)
         h = HurstParam(hv)
-        a = _linear_weight(m=7, c=1.5) if custom else WeightFn(1.0)
         dW, bh = sample_joint_batch(grid, h, d, n, 0, 6)
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), default_epsilon(grid, h))
-        pi, jac = _fused_weight(drift, h, a, dW, bh, grid, 0.1)
-        ref, scale = _reference_weight(h, a, jac, dW, grid)
+        pi, jac = _fused_weight(drift, h, dW, bh, grid, 0.1)
+        ref, scale = _reference_weight(h, jac, dW, grid)
         assert np.all(np.abs(pi - ref) <= 1e-13 * scale)
 
 
@@ -276,7 +226,7 @@ class TestMalliavinWeight:
         # pi is an Ito integral, so its average over paths is near 0
         grid = GridSpec(1.0, 64)
         dW, bh, _ = _zero_drift_flows(grid, 21, 0, 400)
-        vals = _fused_weight(_ZERO, H01, WeightFn(1.0), dW, bh, grid)[0][:, 0]
+        vals = _fused_weight(_ZERO, H01, dW, bh, grid)[0][:, 0]
         assert abs(vals.mean()) < 4 * vals.std(ddof=1) / np.sqrt(len(vals))
 
     def test_non_finite_names_step_and_row(self):
@@ -286,12 +236,12 @@ class TestMalliavinWeight:
         dW, _, _ = _zero_drift_flows(grid, 21, 0, 4)
         dW[2, 5, 0] = np.nan
         with pytest.raises(FloatingPointError, match="increment at step 5 in batch row 2$"):
-            _dual_batch(H01, WeightFn(1.0), dW, grid)
+            _dual_batch(H01, dW, grid)
         dW[2, 5, 0] = np.inf
         dW[2, 9, 0] = -np.inf
         dW[3, 1, 0] = np.inf
         with pytest.raises(FloatingPointError, match="increment at step 5 in batch row 2$"):
-            _dual_batch(H01, WeightFn(1.0), dW, grid)
+            _dual_batch(H01, dW, grid)
 
     def test_non_finite_flow_names_step_and_row(self):
         # the solve checks the flow once per block and names the first bad
@@ -300,7 +250,7 @@ class TestMalliavinWeight:
         dW, bh, _ = _zero_drift_flows(grid, 21, 0, 4)
         faults = ((8, 1, np.nan), (6, 3, np.nan), (6, 2, np.inf))
         with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 2$"):
-            _fused_weight(_Poison(grid.times, faults), H01, WeightFn(1.0), dW, bh, grid)
+            _fused_weight(_Poison(grid.times, faults), H01, dW, bh, grid)
 
     def test_later_chunk_names_its_batch_row(self):
         # row 300 lies in the second chunk of the dual's FFT; the first bad row
@@ -312,46 +262,45 @@ class TestMalliavinWeight:
         dW[310, 2, 0] = np.inf
         dW[515, 1, 0] = np.inf
         with pytest.raises(FloatingPointError, match="increment at step 5 in batch row 300$"):
-            _fused_weight(_ZERO, H01, WeightFn(1.0), dW, bh, grid)
+            _fused_weight(_ZERO, H01, dW, bh, grid)
         dW[[300, 310, 515], [5, 2, 1], 0] = 0.0
         poison = _Poison(grid.times, ((6, 300, np.inf), (6, 515, np.nan)))
         with pytest.raises(FloatingPointError, match="flow at step 7 in batch row 300$"):
-            _fused_weight(poison, H01, WeightFn(1.0), dW, bh, grid)
+            _fused_weight(poison, H01, dW, bh, grid)
 
 
 class TestEstimateDelta:
     def test_identity_delta_zero_drift(self):
         grid = GridSpec(1.0, 128)
         m = mollify(ZeroDrift(), 0.05)
-        est = estimate_delta(
-            m, 0.0, make_payoff("identity"), H01, WeightFn(1.0), grid, 20000, 42
-        )
+        est = estimate_delta(m, 0.0, make_payoff("identity"), H01, grid, 20000, 42)
         assert abs(est.mean[0] - 1.0) <= 3 * est.stderr[0]
 
-    def test_reproducible(self):
+    def test_identity_delta_zero_drift_horizon_two(self):
+        # the weight's a = 1/T comes from the grid, so the delta stays 1 at T = 2
+        grid = GridSpec(2.0, 128)
+        est = estimate_delta(_ZERO, 0.0, make_payoff("identity"), H01, grid, 20000, 3)
+        assert abs(est.mean[0] - 1.0) <= 5 * est.stderr[0]
+
+    def test_reproducible(self, monkeypatch):
         grid = GridSpec(1.0, 64)
         m = mollify(ZeroDrift(), 0.05)
-        kw = dict(batch_size=1000)
-        e1 = estimate_delta(
-            m, 0.0, make_payoff("identity"), H01, WeightFn(1.0), grid, 3000, 7, **kw
-        )
-        e2 = estimate_delta(
-            m, 0.0, make_payoff("identity"), H01, WeightFn(1.0), grid, 3000, 7, **kw
-        )
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 1000)
+        e1 = estimate_delta(m, 0.0, make_payoff("identity"), H01, grid, 3000, 7)
+        e2 = estimate_delta(m, 0.0, make_payoff("identity"), H01, grid, 3000, 7)
         assert e1.mean[0] == e2.mean[0]
         assert e1.stderr[0] == e2.stderr[0]
         assert e1.config_digest == e2.config_digest
 
-    def test_batch_size_does_not_change_result(self):
+    def test_batch_size_does_not_change_result(self, monkeypatch):
         grid = GridSpec(1.0, 64)
         m = mollify(ZeroDrift(), 0.05)
-        e1, *rest = [
-            estimate_delta(
-                m, 0.0, make_payoff("identity"), H01, WeightFn(1.0), grid, 3000, 7,
-                batch_size=b,
-            )
-            for b in (500, 1024, 3000)
-        ]
+
+        def run(batch):
+            monkeypatch.setattr(bel, "DEFAULT_BATCH", batch)
+            return estimate_delta(m, 0.0, make_payoff("identity"), H01, grid, 3000, 7)
+
+        e1, *rest = [run(b) for b in (500, 1024, 3000)]
         for e in rest:
             assert e.mean[0] == e1.mean[0]
             assert e.stderr[0] == e1.stderr[0]
@@ -361,13 +310,13 @@ class TestEstimateDelta:
         m = mollify(ZeroDrift(), 0.05)
         bad = lambda x: np.where(np.asarray(x) > 0, np.nan, 1.0)
         with pytest.raises(FloatingPointError):
-            estimate_delta(m, 0.0, bad, H01, WeightFn(1.0), grid, 100, 1)
+            estimate_delta(m, 0.0, bad, H01, grid, 100, 1)
 
     def test_path_count_validation(self):
         grid = GridSpec(1.0, 16)
         m = mollify(ZeroDrift(), 0.05)
         with pytest.raises(ValueError):
-            estimate_delta(m, 0.0, make_payoff("identity"), H01, WeightFn(1.0), grid, 1, 1)
+            estimate_delta(m, 0.0, make_payoff("identity"), H01, grid, 1, 1)
 
     @pytest.mark.parametrize(
         "value, slope, fault",
@@ -375,7 +324,7 @@ class TestEstimateDelta:
          (0.0, np.inf, "non-finite flow at step {k}")],
         ids=["kernel", "weight"],
     )
-    def test_errors_name_seed_and_first_path(self, value, slope, fault):
+    def test_errors_name_seed_and_first_path(self, monkeypatch, value, slope, fault):
         # with b = 0 below the level the state is x0 + bh, so the one path that
         # climbs over it is known; it lies in the second of two batches.  Its
         # state (kernel) or its flow (weight) turns non-finite one step after
@@ -390,10 +339,11 @@ class TestEstimateDelta:
         pay = make_payoff("identity")
         msg = fault.format(k=k) + " in batch row {row} "
         msg += r"\(master_seed 4, batch row 0 is path {start}\)$"
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 32)
         with pytest.raises(FloatingPointError, match=msg.format(row=path - 32, start=32)):
-            estimate_delta(drift, 0.0, pay, H01, WeightFn(1.0), grid, 64, 4, batch_size=32)
+            estimate_delta(drift, 0.0, pay, H01, grid, 64, 4)
         with pytest.raises(FloatingPointError, match=msg.format(row=0, start=path)):
-            _bel_block(drift, np.zeros((1, 1)), H01, WeightFn(1.0), grid, 4, path, 1)
+            _bel_block(drift, np.zeros((1, 1)), H01, grid, 4, path, 1)
 
 
 def _traced_peak(run) -> int:
@@ -423,7 +373,7 @@ class TestBatchWorkingSet:
         grid = GridSpec(1.0, n)
         peak = _traced_peak(
             lambda: estimate_delta(
-                self.DRIFT, 0.1, make_payoff("digital", 0.2), H01, WeightFn(1.0), grid, B, 3
+                self.DRIFT, 0.1, make_payoff("digital", 0.2), H01, grid, B, 3
             )
         )
         assert peak < 4 * B * (n + 1) * 8
@@ -462,7 +412,7 @@ class TestBatchWorkingSet:
         grid = GridSpec(1.0, n)
         peak = _traced_peak(
             lambda: estimate_delta(
-                self.DRIFT, 0.1, make_payoff("digital", 0.2), H01, WeightFn(1.0), grid, B, 3
+                self.DRIFT, 0.1, make_payoff("digital", 0.2), H01, grid, B, 3
             )
         )
         assert peak < 3 * B * (n + 1) * 8
@@ -470,7 +420,7 @@ class TestBatchWorkingSet:
 
 _DRIFT = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
 _BASE = dict(
-    drift=_DRIFT, x0=0.1, payoff=make_payoff("identity"), h=H01, a=_linear_weight(),
+    drift=_DRIFT, x0=0.1, payoff=make_payoff("identity"), h=H01,
     grid=GridSpec(1.0, 4), n_paths=2, master_seed=0, payoff_label="identity",
 )
 _CHANGES = {
@@ -481,13 +431,6 @@ _CHANGES = {
     ]),
     "x0": st.floats(-1.0, 1.0).filter(lambda v: v != 0.1),
     "h": st.floats(0.01, 0.49).filter(lambda v: v != 0.1).map(HurstParam),
-    "a": st.one_of(
-        st.just(WeightFn(1.0)),
-        st.just(_linear_weight(c=0.3 + 1e-12)),  # below repr's printed precision
-        st.floats(-1.9, 1.9).filter(lambda c: c != 0.3).map(lambda c: _linear_weight(c=c)),
-        st.integers(2, 9).filter(lambda m: m != 5).map(lambda m: _linear_weight(m=m)),
-        st.floats(0.5, 2.0).filter(lambda t: t != 1.0).map(lambda t: _linear_weight(horizon=t)),
-    ),
     "grid": st.one_of(
         st.integers(2, 8).filter(lambda n: n != 4).map(lambda n: GridSpec(1.0, n)),
         st.floats(0.5, 2.0).filter(lambda t: t != 1.0).map(lambda t: GridSpec(t, 4)),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughdelta import bel as bel_module, cli
-from roughdelta.bel import WeightFn, _bel_block, _weighted, estimate_delta, make_payoff
+from roughdelta.bel import _bel_block, _weighted, estimate_delta, make_payoff
 from roughdelta.fbm import GridSpec
 from roughdelta.fd import _central_diffs, fd_delta, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
@@ -171,7 +171,7 @@ class TestModes:
     @pytest.mark.parametrize("batch", [300, 1000])
     def test_delta_sde_one_pass_matches_separate_runs(self, tmp_path, monkeypatch, batch):
         calls = _count_draws(monkeypatch)
-        monkeypatch.setattr(cli, "DEFAULT_BATCH", batch)
+        monkeypatch.setattr(bel_module, "DEFAULT_BATCH", batch)
         out = tmp_path / "r.csv"
         cfg = RunConfig(
             mode="delta-sde", steps=32, paths=1000, seed=4, drift="regime:1,-1,0",
@@ -185,11 +185,9 @@ class TestModes:
         grid = GridSpec(1.0, 32)
         drift = mollify(parse_drift("regime:1,-1,0"), cfg.epsilon)
         payoff = make_payoff("digital", 0.2)
-        est = estimate_delta(
-            drift, 0.1, payoff, h, WeightFn(1.0), grid, 1000, 4, batch_size=batch
-        )
+        est = estimate_delta(drift, 0.1, payoff, h, grid, 1000, 4)
         runner = sde_payoff_runner(drift, payoff, h, grid)
-        fde = fd_delta(runner, 0.1, 0.1, 1000, 4, batch_size=batch)
+        fde = fd_delta(runner, 0.1, 0.1, 1000, 4)
         assert float(byq["delta_bel"]["estimate"]) == est.mean[0]
         assert float(byq["delta_bel"]["stderr"]) == est.stderr[0]
         assert float(byq["delta_fd"]["estimate"]) == fde.value[0]
@@ -212,7 +210,7 @@ class TestModes:
         drift = mollify(parse_drift("regime:1,-1,0"), cfg.epsilon)
         pay = make_payoff(payoff, 0.2)
         x0 = np.array([0.1])
-        pi, ends = _bel_block(drift, x0[None], h, WeightFn(1.0), grid, 4, 0, 2000)
+        pi, ends = _bel_block(drift, x0[None], h, grid, 4, 0, 2000)
         bel = _weighted(pay, ends[0], pi)[:, 0]
         runner = sde_payoff_runner(drift, pay, h, grid)
         fd = _central_diffs(lambda x: runner(x, 4, 0, 2000), x0, 0.1)[:, 0]
@@ -239,7 +237,7 @@ class TestModes:
         calls = _count_draws(monkeypatch)
         out = tmp_path / "v.csv"
         run(RunConfig(mode="validate", seed=7, out=str(out)))
-        _assert_each_path_drawn_once(calls, 20000, cli.DEFAULT_BATCH)
+        _assert_each_path_drawn_once(calls, 20000, bel_module.DEFAULT_BATCH)
         rows = {r["component"]: r for r in _read_rows(out) if r["quantity"] == "gaussian_delta"}
 
         h = HurstParam(0.1)
@@ -249,7 +247,7 @@ class TestModes:
             ("identity", 0.0, make_payoff("identity")),
             ("digital", 0.1, make_payoff("digital", 0.3)),
         ):
-            est = estimate_delta(zero, x0, payoff, h, WeightFn(1.0), grid, 20000, 7)
+            est = estimate_delta(zero, x0, payoff, h, grid, 20000, 7)
             assert float(rows[name]["estimate"]) == est.mean[0]
             assert float(rows[name]["stderr"]) == est.stderr[0]
             assert rows[name]["n_paths"] == "20000"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import roughdelta
-from roughdelta.bel import WeightFn, _dual_batch
+from roughdelta.bel import _dual_batch
 from roughdelta.fbm import (
     CholeskyFactorizationError,
     GridSpec,
@@ -294,9 +294,8 @@ class TestBatchSplit:
         dW, bh = sample_joint_batch(grid, H01, d, seed, 0, count)
         starts = np.full((1, d), 0.1)
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
-        a = WeightFn(1.0)
         weight = lambda r: solve_batch(
-            drift, starts, bh[r], grid, dual=_dual_batch(H01, a, dW[r].copy(), grid)
+            drift, starts, bh[r], grid, dual=_dual_batch(H01, dW[r].copy(), grid)
         )[3]
         whole = weight(slice(0, count))
         halves = np.concatenate([weight(slice(0, cut)), weight(slice(cut, count))])
@@ -328,19 +327,19 @@ class TestBatchSplit:
 _THREAD_CHILD = """
 import hashlib
 import numpy as np
-from roughdelta.bel import WeightFn, _dual_batch
+from roughdelta.bel import _dual_batch
 from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.frac_core import HurstParam
 from roughdelta.girsanov import girsanov_xi_batch
 from roughdelta.sde import RegimeSwitchDrift, mollify, solve_batch
 
-grid, h, a = GridSpec(1.0, 256), HurstParam(0.1), WeightFn(1.0)
+grid, h = GridSpec(1.0, 256), HurstParam(0.1)
 drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
 
 def draw(start, count):
     dW, bh = sample_joint_batch(grid, h, 1, 17, start, count)
     log_xi = girsanov_xi_batch(h, drift, bh[:, :, 0], dW[:, :, 0], grid, 0.1)
-    pi = solve_batch(drift, [[0.1]], bh, grid, dual=_dual_batch(h, a, dW, grid))[3]
+    pi = solve_batch(drift, [[0.1]], bh, grid, dual=_dual_batch(h, dW, grid))[3]
     return bh, pi, log_xi
 
 whole = draw(0, 4096)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from roughdelta import bel
 from roughdelta.bel import make_payoff
 from roughdelta.fbm import GridSpec
 from roughdelta.fd import fd_delta, gaussian_digital_delta, rv_payoff_runner, sde_payoff_runner
@@ -71,13 +72,16 @@ class TestFDDelta:
         est = fd_delta(runner, np.array([1.0, 2.0]), 0.01, 50, 0)
         np.testing.assert_allclose(est.value, [1.0, 3.0], rtol=1e-9)
 
-    def test_batch_size_does_not_change_result(self):
+    def test_batch_size_does_not_change_result(self, monkeypatch):
         grid = GridSpec(1.0, 64)
         m = mollify(RegimeSwitchDrift(1.0, -1.0), 0.05)
         runner = sde_payoff_runner(m, make_payoff("call", 0.1), H01, grid)
-        e1, *rest = [
-            fd_delta(runner, 0.0, 0.05, 3000, 7, batch_size=b) for b in (500, 1024, 3000)
-        ]
+
+        def run(batch):
+            monkeypatch.setattr(bel, "DEFAULT_BATCH", batch)
+            return fd_delta(runner, 0.0, 0.05, 3000, 7)
+
+        e1, *rest = [run(b) for b in (500, 1024, 3000)]
         assert e1.stderr[0] > 0.0
         for e in rest:
             np.testing.assert_array_equal(e.value, e1.value)
@@ -87,7 +91,7 @@ class TestFDDelta:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow past the fault
 class TestReplayableErrors:
     @pytest.mark.parametrize("case", ["kernel", "stock"])
-    def test_errors_name_seed_and_first_path(self, case):
+    def test_errors_name_seed_and_first_path(self, monkeypatch, case):
         # kernel: the SDE runner on the vol factor's own equation from x2;
         # stock: the two-factor runner.  The bump is too small to move the
         # fault, so the up side, which runs first, meets it on the same path.
@@ -99,7 +103,8 @@ class TestReplayableErrors:
             runner = rv_payoff_runner(cfg, lambda s, sigma: s, _FAULT_GRID)
             x = np.array([cfg.x1, cfg.x2])
         first = (msg + _REPLAY).format(row=path - 32, seed=seed, start=32)
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 32)
         with pytest.raises(FloatingPointError, match=first):
-            fd_delta(runner, x, 1e-9, 64, seed, batch_size=32)
+            fd_delta(runner, x, 1e-9, 64, seed)
         with pytest.raises(FloatingPointError, match=msg.format(row=0) + "$"):
             runner(x, seed, path, 1)

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughdelta import bel
-from roughdelta.bel import WeightFn, _dual_batch
+from roughdelta.bel import _dual_batch
 from roughdelta.fd import rv_payoff_runner
 from roughdelta.fbm import GridSpec, sample_joint_batch, wiener_increment_batch
-from roughdelta.frac_core import HurstParam, SampledFunction
+from roughdelta.frac_core import HurstParam
 from roughdelta.rough_vol import (
     STREAM_FRACTIONAL,
     STREAM_STOCK,
@@ -69,23 +69,23 @@ class TestRVConfig:
             _cfg(x1=0.0)
 
 
-def _inputs(cfg, grid, seed, start, count, a=None):
+def _inputs(cfg, grid, seed, start, count, weights=False):
     """(sigma, dsig, dW', w2b) of paths start .., drawn and solved as _simulate_batch does."""
     dW, bh = sample_joint_batch(grid, cfg.h, 1, seed, start, count, stream=STREAM_FRACTIONAL)
-    dual = None if a is None else _dual_batch(cfg.h, a, dW, grid)
+    dual = _dual_batch(cfg.h, dW, grid) if weights else None
     sigma, _, dsig, w2b = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True, dual=dual)
     dWp = wiener_increment_batch(grid, seed, start, count, stream=STREAM_STOCK)
     return sigma[:, :, 0], dsig[:, :, 0], dWp, w2b
 
 
-def _stock_reference(cfg, sigma, dsig, dWp, grid, a=None):
+def _stock_reference(cfg, sigma, dsig, dWp, grid, weights=False):
     """Independent oracle: the path-major stock loop over columns, with a masked sigmoid.
 
     Returns the stock path s, its x2-variation k2 by the per-step recursion
     k2[k+1] = k2[k] step_k + S_{k+1} g'(sigma_k) J_k (dW'_k - g(sigma_k) dt),
     that recursion's drive divided by S_{k+1}, and the terms of the weights
-    w1 and w2a as sums of a (S g(sigma))^{-1} dS dW' over the path (None
-    without a).
+    w1 and w2a as sums of a (S g(sigma))^{-1} dS dW' over the path, with
+    a = 1/T (None without weights).
     """
 
     def g(z):
@@ -109,11 +109,10 @@ def _stock_reference(cfg, sigma, dsig, dWp, grid, a=None):
         k2[:, k + 1] = k2[:, k] * step + s[:, k + 1] * gp * dsig[:, k] * (dWp[:, k] - gs * dt)
         drive[:, k] = gp * dsig[:, k] * (dWp[:, k] - gs * dt)
         gsig[:, k] = gs
-    if a is None:
+    if not weights:
         return s, k2, drive, None, None
-    ginv = 1.0 / (s[:, :n] * gsig)
-    av = a.values(grid.times[:n])[None, :]
-    return s, k2, drive, av * ginv * (s[:, :n] / cfg.x1) * dWp, av * ginv * k2[:, :n] * dWp
+    ginv = 1.0 / (s[:, :n] * gsig * grid.horizon)
+    return s, k2, drive, ginv * (s[:, :n] / cfg.x1) * dWp, ginv * k2[:, :n] * dWp
 
 
 def _assert_close_to_terms(got, terms, tol=1e-13):
@@ -122,15 +121,15 @@ def _assert_close_to_terms(got, terms, tol=1e-13):
     assert np.all(np.abs(got - np.sum(terms, axis=1)) <= tol * scale)
 
 
-def _check_against_reference(cfg, grid, a, seed, count):
+def _check_against_reference(cfg, grid, seed, count):
     """_simulate_batch's terminal values against the path-major oracle.
 
     S_T and sigma_T bitwise; k2_T, w1 and w2a + w2b within 1e-13 of each
     row's largest term, and k2_T and w2a exactly 0 at gamma = 0.
     """
-    s_T, sigma_T, k2_T, w = _simulate_batch(cfg, grid, seed, 0, count, a)
-    sigma, dsig, dWp, w2b = _inputs(cfg, grid, seed, 0, count, a)
-    s, k2, drive, t1, t2 = _stock_reference(cfg, sigma, dsig, dWp, grid, a)
+    s_T, sigma_T, k2_T, w = _simulate_batch(cfg, grid, seed, 0, count, True)
+    sigma, dsig, dWp, w2b = _inputs(cfg, grid, seed, 0, count, True)
+    s, k2, drive, t1, t2 = _stock_reference(cfg, sigma, dsig, dWp, grid, True)
     assert s_T.tobytes() == s[:, -1].tobytes()
     assert sigma_T.tobytes() == sigma[:, -1].tobytes()
     # k2_T = sum_k S_T drive_k, whose running sum is what the recursion steps
@@ -142,19 +141,11 @@ def _check_against_reference(cfg, grid, a, seed, count):
         assert w[:, 1].tobytes() == w2b[:, 0].tobytes()  # w2a is exactly 0
 
 
-_X = np.linspace(0.0, 1.0, 5)
-
-
-def _custom_weight(c):
-    """A custom, unit-integral averaging function 1 + c (t - 1/2) on [0, 1]."""
-    return WeightFn(1.0, "custom", SampledFunction(_X, 1.0 + c * (_X - 0.5)))
-
-
 class TestSimulate:
     @pytest.mark.parametrize("n", [2, _STEP_BLOCK, _STEP_BLOCK + 1, 100])
     def test_stock_loop_matches_path_major_reference(self, n):
         # the blocked loop with S cancelled moves only the roundings of k2_T and w
-        _check_against_reference(_cfg(gamma=0.3, x2=0.1), GridSpec(1.0, n), WeightFn(1.0), 3, 7)
+        _check_against_reference(_cfg(gamma=0.3, x2=0.1), GridSpec(1.0, n), 3, 7)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -163,13 +154,12 @@ class TestSimulate:
         x1=st.floats(0.01, 100.0),
         x2=st.floats(-1.0, 1.0),
         mu=st.floats(-1.0, 1.0),
-        c=st.none() | st.floats(-1.9, 1.9),
+        horizon=st.sampled_from([1.0, 2.0]) | st.floats(0.1, 4.0),
         seed=st.integers(0, 2**32),
     )
-    def test_terminal_values_match_reference(self, n, gamma, x1, x2, mu, c, seed):
-        a = WeightFn(1.0) if c is None else _custom_weight(c)
+    def test_terminal_values_match_reference(self, n, gamma, x1, x2, mu, horizon, seed):
         cfg = _cfg(gamma=gamma, mu=mu, x1=x1, x2=x2)
-        _check_against_reference(cfg, GridSpec(1.0, n), a, seed, 5)
+        _check_against_reference(cfg, GridSpec(horizon, n), seed, 5)
 
     def test_stock_positive(self):
         s_T, *_ = _simulate_batch(_cfg(gamma=0.3), GridSpec(1.0, 64), 5, 0, 64)
@@ -213,35 +203,37 @@ class TestSimulate:
 class TestSbelDelta:
     def test_identity_payoff_delta_x1(self):
         cfg = _cfg(gamma=0.3, x2=0.0)
-        est = sbel_delta(
-            cfg, lambda s, sig: s, WeightFn(1.0), GridSpec(1.0, 128), 20000, 11
-        )
+        est = sbel_delta(cfg, lambda s, sig: s, GridSpec(1.0, 128), 20000, 11)
         assert abs(est.mean[0] - math.exp(0.05)) <= 3 * est.stderr[0]
+
+    def test_identity_payoff_delta_x1_horizon_two(self):
+        # the Wiener weights' a = 1/T comes from the grid: delta_x1 = e^{mu T} at T = 2
+        cfg = _cfg(gamma=0.3, x2=0.0)
+        est = sbel_delta(cfg, lambda s, sig: s, GridSpec(2.0, 128), 20000, 11)
+        assert abs(est.mean[0] - math.exp(0.05 * 2.0)) <= 5 * est.stderr[0]
 
     def test_delta_x2_zero_when_gamma_zero(self):
         cfg = _cfg(gamma=0.0)
-        est = sbel_delta(
-            cfg, lambda s, sig: s, WeightFn(1.0), GridSpec(1.0, 128), 10000, 11
-        )
+        est = sbel_delta(cfg, lambda s, sig: s, GridSpec(1.0, 128), 10000, 11)
         assert abs(est.mean[1]) <= 3 * est.stderr[1]
 
-    def test_reproducible(self):
+    def test_reproducible(self, monkeypatch):
         cfg = _cfg(gamma=0.3)
-        kw = dict(batch_size=2000)
-        a = WeightFn(1.0)
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 2000)
         g = GridSpec(1.0, 64)
-        e1 = sbel_delta(cfg, lambda s, sig: s, a, g, 4000, 3, **kw)
-        e2 = sbel_delta(cfg, lambda s, sig: s, a, g, 4000, 3, **kw)
+        e1 = sbel_delta(cfg, lambda s, sig: s, g, 4000, 3)
+        e2 = sbel_delta(cfg, lambda s, sig: s, g, 4000, 3)
         np.testing.assert_array_equal(e1.mean, e2.mean)
 
-    def test_batch_size_does_not_change_result(self):
+    def test_batch_size_does_not_change_result(self, monkeypatch):
         cfg = _cfg(gamma=0.3)
-        a = WeightFn(1.0)
         g = GridSpec(1.0, 64)
-        e1, *rest = [
-            sbel_delta(cfg, lambda s, sig: s, a, g, 3000, 3, batch_size=b)
-            for b in (500, 1024, 3000)
-        ]
+
+        def run(batch):
+            monkeypatch.setattr(bel, "DEFAULT_BATCH", batch)
+            return sbel_delta(cfg, lambda s, sig: s, g, 3000, 3)
+
+        e1, *rest = [run(b) for b in (500, 1024, 3000)]
         for e in rest:
             np.testing.assert_array_equal(e.mean, e1.mean)
             np.testing.assert_array_equal(e.stderr, e1.stderr)
@@ -261,7 +253,7 @@ class TestBatchWorkingSet:
         B, n = self.B, self.N
         grid = GridSpec(1.0, n)
         peak = _traced_peak(
-            lambda: sbel_delta(_cfg(gamma=0.3), self.PAYOFF, WeightFn(1.0), grid, B, 3)
+            lambda: sbel_delta(_cfg(gamma=0.3), self.PAYOFF, grid, B, 3)
         )
         assert peak < 5 * B * (n + 1) * 8
 
@@ -302,7 +294,7 @@ def _fault(case):
     if case == "stock":
         s = _stock_reference(cfg, *_inputs(cfg, _FAULT_GRID, 4, 0, 64)[:3], _FAULT_GRID)[0]
         return 4, _cfg(gamma=0.3, x1=big / 2.6), s > 2.6, "non-finite stock value at step {k}"
-    w1 = _simulate_batch(cfg, _FAULT_GRID, 5, 0, 64, WeightFn(1.0))[3][:, 0]
+    w1 = _simulate_batch(cfg, _FAULT_GRID, 5, 0, 64, True)[3][:, 0]
     x1 = 9.0 / big
     return 5, _cfg(gamma=0.3, x1=x1), ~np.isfinite(w1 / x1)[:, None], "non-finite delta weight"
 
@@ -323,7 +315,7 @@ def _fault_message(case):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf past the fault
 class TestReplayableErrors:
     @pytest.mark.parametrize("case", ["kernel", "weight", "stock", "guard"])
-    def test_errors_name_seed_and_first_path(self, case):
+    def test_errors_name_seed_and_first_path(self, monkeypatch, case):
         # the message replays the path as start + row, and the block at
         # (path, 1) meets the same fault in its row 0
         # (the path's batch is paths 32 .. 63, cut into bel._WORKERS slices)
@@ -333,20 +325,20 @@ class TestReplayableErrors:
         size = -(-32 // bel._WORKERS)
         start = 32 + (path - 32) // size * size
         first = msg.format(row=path - start, seed=seed, start=start)
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 32)
         with pytest.raises(FloatingPointError, match=first):
-            sbel_delta(cfg, payoff, WeightFn(1.0), _FAULT_GRID, 64, seed, batch_size=32)
+            sbel_delta(cfg, payoff, _FAULT_GRID, 64, seed)
         with pytest.raises(FloatingPointError, match=msg.format(row=0, seed=seed, start=path)):
-            _sbel_block(cfg, payoff, WeightFn(1.0), _FAULT_GRID, seed, path, 1)
+            _sbel_block(cfg, payoff, _FAULT_GRID, seed, path, 1)
 
 
 _BASE_RV = _cfg(gamma=0.3)
 
 
-def _digest(cfg=None, a=None, grid=GridSpec(1.0, 4), n_paths=2, seed=0, label="call"):
+def _digest(cfg=None, grid=GridSpec(1.0, 4), n_paths=2, seed=0, label="call"):
     cfg = cfg or _BASE_RV
-    a = a or WeightFn(1.0)
     payoff = lambda s, sigma: np.maximum(s - 1.0, 0.0)
-    return sbel_delta(cfg, payoff, a, grid, n_paths, seed, payoff_label=label).config_digest
+    return sbel_delta(cfg, payoff, grid, n_paths, seed, payoff_label=label).config_digest
 
 
 def _model(**kw):
@@ -369,7 +361,6 @@ _RV_CHANGES = {
     "x1": _other(st.floats(0.1, 5.0), 1.0).map(lambda v: _model(x1=v)),
     "x2": _other(st.floats(-1.0, 1.0), 0.0).map(lambda v: _model(x2=v)),
     "h": _other(st.floats(0.01, 0.49), 0.1).map(lambda v: _model(h=HurstParam(v))),
-    "a": st.floats(-1.9, 1.9).map(lambda c: dict(a=_custom_weight(c))),
     "grid": _other(st.integers(2, 8), 4).map(lambda n: dict(grid=GridSpec(1.0, n))),
     "n_paths": st.integers(3, 6).map(lambda n: dict(n_paths=n)),
     "seed": st.integers(1, 2**64 - 1).map(lambda v: dict(seed=v)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from roughdelta import bel, cli
-from roughdelta.bel import WeightFn, _mc_mean, estimate_delta, make_payoff
+from roughdelta.bel import _mc_mean, estimate_delta, make_payoff
 from roughdelta.cli import RunConfig, run
 from roughdelta.fbm import GridSpec, _normal_block
 from roughdelta.fd import fd_delta, sde_payoff_runner
@@ -18,7 +18,7 @@ from test_rough_vol import _FAULT_GRID, _REPLAY, _cfg, _fault_message
 
 H01 = HurstParam(0.1)
 WORKERS = (1, 2, 3)
-# (n_paths, batch_size): a batch that three workers cannot split evenly and a
+# (n_paths, DEFAULT_BATCH): a batch that three workers cannot split evenly and a
 # last batch of one path; batches smaller than the worker count
 SPLITS = ((1001, 250), (7, 2))
 
@@ -44,19 +44,20 @@ class TestEstimators:
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
         grid = GridSpec(1.0, 32)
         payoff = make_payoff("digital", 0.2)
-        ests = _per_worker_count(monkeypatch, lambda: estimate_delta(
-            drift, 0.1, payoff, H01, WeightFn(1.0), grid, n_paths, 3, batch_size=batch
-        ))
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", batch)
+        ests = _per_worker_count(
+            monkeypatch, lambda: estimate_delta(drift, 0.1, payoff, H01, grid, n_paths, 3)
+        )
         _assert_same_bits([e.mean for e in ests])
         _assert_same_bits([e.stderr for e in ests])
 
     @pytest.mark.parametrize("n_paths, batch", SPLITS)
     def test_sbel_delta(self, monkeypatch, n_paths, batch):
         payoff = lambda s, sigma: np.maximum(s - 1.0, 0.0)
-        ests = _per_worker_count(monkeypatch, lambda: sbel_delta(
-            _cfg(gamma=0.3), payoff, WeightFn(1.0), GridSpec(1.0, 16), n_paths, 5,
-            batch_size=batch,
-        ))
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", batch)
+        ests = _per_worker_count(
+            monkeypatch, lambda: sbel_delta(_cfg(gamma=0.3), payoff, GridSpec(1.0, 16), n_paths, 5)
+        )
         _assert_same_bits([e.mean for e in ests])
         _assert_same_bits([e.stderr for e in ests])
 
@@ -64,9 +65,8 @@ class TestEstimators:
     def test_fd_delta(self, monkeypatch, n_paths, batch):
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
         runner = sde_payoff_runner(drift, make_payoff("call", 0.1), H01, GridSpec(1.0, 32))
-        ests = _per_worker_count(
-            monkeypatch, lambda: fd_delta(runner, 0.1, 0.1, n_paths, 8, batch_size=batch)
-        )
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", batch)
+        ests = _per_worker_count(monkeypatch, lambda: fd_delta(runner, 0.1, 0.1, n_paths, 8))
         _assert_same_bits([e.value for e in ests])
         _assert_same_bits([e.stderr for e in ests])
 
@@ -80,7 +80,9 @@ class TestCsv:
         dict(mode="validate"),
     ], ids=lambda c: c["mode"])
     def test_csv_bytes(self, tmp_path, monkeypatch, config):
-        monkeypatch.setattr(cli, "DEFAULT_BATCH", 250)  # delta-sde: uneven batches
+        # uneven batches in every delta pass and in validate's variance loop
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 250)
+        monkeypatch.setattr(cli, "DEFAULT_BATCH", 250)
         out = tmp_path / "r.csv"
 
         def csv_bytes():
@@ -100,7 +102,8 @@ class TestSlices:
             threads.append(threading.current_thread())
             return (np.arange(start, start + count, dtype=float)[:, None],)
 
-        ((mean, _),) = _mc_mean(10, 4, block)
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 4)
+        ((mean, _),) = _mc_mean(10, block)
         assert mean[0] == 4.5
         assert threads == [threading.main_thread()] * 3
 
@@ -113,7 +116,8 @@ class TestSlices:
             calls.append((start, count))
             return (np.arange(start, start + count, dtype=float)[:, None],)
 
-        ((mean, _),) = _mc_mean(11, 5, block)
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 5)
+        ((mean, _),) = _mc_mean(11, block)
         assert mean[0] == 5.0
         size = -(-5 // workers)
         want = [(s, min(size, b + c - s)) for b, c in ((0, 5), (5, 5), (10, 1))
@@ -130,8 +134,9 @@ class TestSlices:
                 raise FloatingPointError(f"slice at {start}")
             return (np.zeros((count, 1)),)
 
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 12)
         with pytest.raises(FloatingPointError, match="^slice at 4$"):
-            _mc_mean(12, 12, block)
+            _mc_mean(12, block)
         assert sorted(calls) == [0, 4, 8]  # every slice ran to its end
 
     def test_failing_first_slice_waits_for_the_others(self, monkeypatch):
@@ -144,8 +149,9 @@ class TestSlices:
             finished.append(start)
             return (np.zeros((count, 1)),)
 
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 8)
         with pytest.raises(FloatingPointError, match="^first slice$"):
-            _mc_mean(8, 8, block)
+            _mc_mean(8, block)
         assert finished == [4]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 300])
@@ -157,7 +163,8 @@ class TestSlices:
             rows.append(_conv_rows.get())
             return (np.zeros((count, 1)),)
 
-        _mc_mean(600, 600, block)
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 600)
+        _mc_mean(600, block)
         assert rows == [max(1, _CONV_ROWS // workers)] * min(workers, 600)
         assert _conv_rows.get() == _CONV_ROWS  # restored for callers outside a batch
 
@@ -169,8 +176,9 @@ class TestSlices:
             seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
             return (np.zeros((count, 1)),)
 
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 9)
         with np.errstate(over="raise"):
-            _mc_mean(9, 9, block)
+            _mc_mean(9, block)
         assert sorted(seen) == [(False, "raise"), (False, "raise"), (True, "raise")]
 
 
@@ -180,13 +188,14 @@ def test_fault_in_second_slice_names_its_path(monkeypatch, case):
     # two workers cut the batch of paths 0 .. 63 at 32, and each fault sits
     # in one path at or past 32; the block at (path, 1) replays it
     monkeypatch.setattr(bel, "_WORKERS", 2)
+    monkeypatch.setattr(bel, "DEFAULT_BATCH", 64)
     seed, cfg, path, msg = _fault_message(case)
     msg += _REPLAY
     payoff = lambda s, sigma: s
     with pytest.raises(FloatingPointError, match=msg.format(row=path - 32, seed=seed, start=32)):
-        sbel_delta(cfg, payoff, WeightFn(1.0), _FAULT_GRID, 64, seed, batch_size=64)
+        sbel_delta(cfg, payoff, _FAULT_GRID, 64, seed)
     with pytest.raises(FloatingPointError, match=msg.format(row=0, seed=seed, start=path)):
-        _sbel_block(cfg, payoff, WeightFn(1.0), _FAULT_GRID, seed, path, 1)
+        _sbel_block(cfg, payoff, _FAULT_GRID, seed, path, 1)
 
 
 def test_normal_block_concurrent_disjoint_ranges():
