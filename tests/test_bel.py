@@ -26,19 +26,30 @@ H01 = HurstParam(0.1)
 _HORIZONS, _HORIZON_IDS = (1.0, 2.0), ("uniform", "uniform-T2")
 
 
-def _dense_profile(h, jac, grid):
+def _linear_a(u):
+    """A non-constant averaging function with unit integral on [0, 1]."""
+    return 1.0 + 1.5 * (u - 0.5)
+
+
+def _lag_factor(h, grid, a):
+    """c2 at the midpoint lags u: u^{1/2-H} / T, or a(u) u^{1/2-H} for a given a."""
+    e = 0.5 - h.h
+    lag = (np.arange(1, grid.n_steps + 1) - 0.5) * grid.dt
+    return lag**e / grid.horizon if a is None else a(lag) * lag**e
+
+
+def _dense_profile(h, jac, grid, a=None):
     """Independent oracle: the profile as a dense Toeplitz-times-diagonal sum.
 
-    M[m-1, k-1] = cint[k-m] c2[m] for m <= k, with c2 = u^{1/2-H} / T at the
-    midpoint lags u, and g[:, k] = s_k^{H-1/2}
-    sum_m M[m-1, k-1] jac[:, m-1], summed directly in O(N^2).
+    M[m-1, k-1] = cint[k-m] c2[m] for m <= k, with c2 from _lag_factor, and
+    g[:, k] = s_k^{H-1/2} sum_m M[m-1, k-1] jac[:, m-1], summed directly in
+    O(N^2).
     """
     n = grid.n_steps
     t = grid.times
     e = 0.5 - h.h
     cint = (t[1:] ** e - t[:-1] ** e) / e
-    lag = (np.arange(1, n + 1) - 0.5) * grid.dt
-    c2 = lag**e / grid.horizon
+    c2 = _lag_factor(h, grid, a)
     diff = np.arange(n)[None, :] - np.arange(n)[:, None]
     M = np.where(diff >= 0, cint[np.maximum(diff, 0)], 0.0) * c2[:, None]
     g = np.zeros_like(jac)
@@ -46,7 +57,7 @@ def _dense_profile(h, jac, grid):
     return g
 
 
-def _profile_batch(h, jac, grid):
+def _profile_batch(h, jac, grid, a=None):
     """Oracle: the whole profile g, shape (B, n+1, d), with g[:, 0] = 0.
 
     g[:, k] = s_k^{H-1/2} sum_{m<=k} cint[k-m] c2[m] jac[:, m-1], one FFT causal
@@ -58,8 +69,7 @@ def _profile_batch(h, jac, grid):
     t = grid.times
     e = 0.5 - h.h
     cint = (t[1:] ** e - t[:-1] ** e) / e
-    lag = (np.arange(1, n + 1) - 0.5) * grid.dt
-    c2 = lag**e / grid.horizon
+    c2 = _lag_factor(h, grid, a)
     scale = t[1:] ** (h.h - 0.5)
     fc = np.fft.rfft(cint, 2 * n)
     g = np.zeros_like(jac)
@@ -173,14 +183,19 @@ class TestWeightProfile:
 
     @pytest.mark.parametrize("n", [2, 3, 128, 1024])
     @pytest.mark.parametrize("hv", [0.05, 0.1, 0.3])
-    @pytest.mark.parametrize("horizon", _HORIZONS, ids=_HORIZON_IDS)
-    def test_matches_dense_oracle(self, n, hv, horizon):
+    @pytest.mark.parametrize(
+        "horizon, a", [(1.0, None), (1.0, _linear_a), (2.0, None)],
+        ids=["uniform", "custom", "uniform-T2"],
+    )
+    def test_matches_dense_oracle(self, n, hv, horizon, a):
+        # the FFT causal convolution equals the dense sum for the weight's own
+        # diagonal and for a non-constant one
         grid = GridSpec(horizon, n)
         h = HurstParam(hv)
         rng = np.random.default_rng(n)
         jac = np.exp(np.cumsum(rng.normal(0.0, 0.1, (5, n + 1, 2)), axis=1))
-        g = _profile_batch(h, jac, grid)
-        ref = _dense_profile(h, jac, grid)
+        g = _profile_batch(h, jac, grid, a)
+        ref = _dense_profile(h, jac, grid, a)
         assert g[:, 0].tobytes() == np.zeros_like(g[:, 0]).tobytes()
         row_max = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.all(np.abs(g - ref) <= 1e-12 * row_max)
