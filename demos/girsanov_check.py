@@ -29,7 +29,7 @@ print(f"E[xi] = {xi.mean():.4f} ± {se:.4f}  (must be 1)")
 mol = mollify(drift, epsilon=0.05)
 f = lambda x: np.maximum(x - 0.2, 0.0)
 _, xif = reweighted_expectation(h, mol, f, bh[:, :, 0], dW[:, :, 0], grid, x0=0.3)
-_, ends, _, _ = solve_batch(mol, [[0.3]], bh, grid)
+ends, _ = solve_batch(mol, [[0.3]], bh, grid)
 direct = f(ends[0, :, 0])
 
 print(

@@ -8,18 +8,19 @@ flow-free dual of the increments, one O(N log N) FFT correlation per path
 formed before the solve and written over dW; the Euler/flow solve then
 accumulates pi as it steps, so no flow array is kept.  The weight averages
 over [0, T] with the uniform function a = 1/T of the Bismut-Elworthy-Li form
-(Fournie et al., 1999), T the grid's horizon.  A batch runs as one
-slice of paths per worker thread, and across its slices it holds two
-path-sized arrays (dW, then the dual over it, and bh) plus the sampler's
-FFT scratch.
+(Fournie et al., 1999), T the grid's horizon.  Each batch is cut into one
+slice of paths per worker thread, and at most one batch's worth of slices is
+in flight; across them it holds two path-sized arrays (dW, then the dual over
+it, and bh) plus the sampler's FFT scratch.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from contextlib import contextmanager
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -145,45 +146,67 @@ def config_digest(*parts, unlabeled: bool = False) -> str:
 
 
 def _mc_mean(n_paths: int, block):
-    """(mean, stderr) of each per-path quantity, computed batch by batch.
+    """(mean, stderr) of each per-path quantity, computed slice by slice.
 
     ``block(start, count)`` returns one (count, d_i) array per quantity for
-    paths start .. start+count-1.  Each batch of at most DEFAULT_BATCH paths,
-    the paths in flight at once, is cut into one contiguous slice per usable
-    core (_WORKERS); the calling thread runs the first slice and worker
-    threads the others, and each slice's rows land at their own offsets.
-    Each quantity is then reduced over all paths at once, so neither the
-    batch size nor the worker count can change the result.  If several
-    slices raise, the error of the first in path order propagates.
+    paths start .. start+count-1.  Each batch of at most DEFAULT_BATCH paths
+    is cut into one contiguous slice per usable core (_WORKERS).  The calling
+    thread and _WORKERS - 1 worker threads take the slices of all batches in
+    path order from one queue, one at a time each, so at most one batch's
+    worth of paths is in flight and no slice waits for the rest of its batch.
+    Each slice's rows land at their own offsets, and each quantity is reduced
+    over all paths at once, so neither the batch size nor the worker count
+    can change the result.  Once a slice raises, no new slice starts; the
+    running ones finish, and the error of the first failing slice in path
+    order propagates.  One worker starts no thread.
 
-    The slices share one _CONV_ROWS budget of FFT rows, so a batch's scratch
-    does not grow with the core count.  Every slice runs in its own copy of
-    the caller's context, so np.errstate reaches the worker threads too;
-    block runs on several threads at once and must be thread-safe.
+    The slices share one _CONV_ROWS budget of FFT rows, so the scratch in
+    flight does not grow with the core count.  Every thread runs in its own
+    copy of the caller's context, so np.errstate reaches the worker threads
+    too; block runs on several threads at once and must be thread-safe.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    samples = None
     rows = max(1, _CONV_ROWS // _WORKERS)
 
-    def run_slice(start, count):  # runs in a copy of the caller's context
-        _conv_rows.set(rows)
-        return block(start, count)
-
-    # threads start only on the first submit, so one worker starts none
-    with ThreadPoolExecutor(max(1, _WORKERS - 1)) as pool:
+    def slices():  # (start, count) in path order
         for done in range(0, n_paths, DEFAULT_BATCH):
             count = min(DEFAULT_BATCH, n_paths - done)
             size = -(-count // _WORKERS)
-            slices = [(s, min(size, done + count - s)) for s in range(done, done + count, size)]
-            futures = [pool.submit(copy_context().run, run_slice, *s) for s in slices[1:]]
-            # leaving the pool waits for every slice, also when one raises
-            results = [copy_context().run(run_slice, *slices[0]), *(f.result() for f in futures)]
-            for (start, part_count), parts in zip(slices, results):
-                if samples is None:
-                    samples = [np.empty((n_paths, q.shape[1])) for q in parts]
+            for s in range(done, done + count, size):
+                yield s, min(size, done + count - s)
+
+    queue, lock = slices(), threading.Lock()
+    samples, errors = [], {}
+
+    def run_slices(task):  # runs in a copy of the caller's context
+        _conv_rows.set(rows)
+        while task is not None:
+            start, count = task
+            try:
+                parts = block(start, count)
+            except BaseException as err:  # raised on the calling thread below
+                with lock:
+                    errors[start] = err
+                return
+            with lock:
+                if not samples:
+                    samples.extend(np.empty((n_paths, q.shape[1])) for q in parts)
                 for whole, q in zip(samples, parts):
-                    whole[start : start + part_count] = q
+                    whole[start : start + count] = q
+                task = None if errors else next(queue, None)
+
+    first = list(itertools.islice(queue, _WORKERS))  # one slice for each thread to start on
+    threads = [threading.Thread(target=copy_context().run, args=(run_slices, t)) for t in first[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        copy_context().run(run_slices, first[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
     return [_mean_stderr(whole) for whole in samples]
 
 
@@ -229,7 +252,7 @@ def _bel_block(drift, starts: np.ndarray, h, grid, master_seed, start, count):
     """
     dW, bh = sample_joint_batch(grid, h, starts.shape[1], master_seed, start, count)
     with _replayable(master_seed, start):
-        _, ends, _, pi = solve_batch(drift, starts, bh, grid, dual=_dual_batch(h, dW, grid))
+        ends, pi = solve_batch(drift, starts, bh, grid, dual=_dual_batch(h, dW, grid))
         return pi, ends
 
 

@@ -44,9 +44,8 @@ from .sde import (
     default_epsilon,
     mollify,
 )
-from .bel import (
-    DEFAULT_BATCH, PAYOFF_NAMES, _bel_block, _mc_mean, _payoff_at, _weighted, make_payoff,
-)
+from . import bel
+from .bel import PAYOFF_NAMES, _bel_block, _mc_mean, _payoff_at, _weighted, make_payoff
 from .rough_vol import RVConfig, VolMap, sbel_delta
 from .girsanov import girsanov_xi_batch
 from .fd import _central, gaussian_digital_delta
@@ -308,12 +307,13 @@ def _validate_rows(cfg: RunConfig):
     dev = covariance_report(vals[:, 1:], grid.times[1:], h).max_deviation_se
     rows.append(_row("cholesky_cov_max_dev", "se_units", dev, None, 4000, target=0.0, tol=5.0))
 
-    # Volterra sampler terminal variance against T^{2H}, drawn DEFAULT_BATCH
+    # Volterra sampler terminal variance against T^{2H}, drawn bel.DEFAULT_BATCH
     # paths at a time; only the terminal values outlive their batch.
     grid = GridSpec(1.0, 256)
     ends = np.empty(8000)
-    for s in range(0, 8000, DEFAULT_BATCH):
-        count = min(DEFAULT_BATCH, 8000 - s)
+    batch = bel.DEFAULT_BATCH
+    for s in range(0, 8000, batch):
+        count = min(batch, 8000 - s)
         ends[s : s + count] = sample_joint_batch(grid, h, 1, cfg.seed, s, count)[1][:, -1, 0]
     v = float(np.var(ends, ddof=1))
     rows.append(_row("volterra_var", "T", v, None, 8000, target=1.0, tol=0.05))
@@ -443,6 +443,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:  # a numerical fault, named with its replay address
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -116,7 +116,7 @@ def sde_payoff_runner(
     def run(x, master_seed, start, count):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         bh = sample_joint_batch(grid, h, x.size, master_seed, start, count)[1]  # dW freed now
-        _, ends, _, _ = solve_batch(drift, x[None], bh, grid)  # no flow array is built
+        ends, _ = solve_batch(drift, x[None], bh, grid)  # no flow array is built
         return _payoff_at(payoff, ends[0])
 
     return run

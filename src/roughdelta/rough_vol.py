@@ -19,7 +19,7 @@ import numpy as np
 
 from .frac_core import HurstParam
 from .fbm import GridSpec, sample_joint_batch, wiener_increment_batch
-from .sde import _STEP_BLOCK, MollifiedDrift, solve_batch
+from .sde import MollifiedDrift, _add_weight, _check_block, _solve_blocks
 from .bel import DeltaEstimate, _dual_batch, _mc_mean, _replayable, config_digest
 
 __all__ = ["VolMap", "RVConfig", "sbel_delta"]
@@ -46,12 +46,6 @@ class VolMap:
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
 
-    def __call__(self, z):
-        return self.value_and_deriv(z)[0]
-
-    def deriv(self, z):
-        return self.value_and_deriv(z)[1]
-
     def value_and_deriv(self, z):
         """(g(z), g'(z)) from one sigmoid evaluation."""
         s = _sigmoid(z)
@@ -61,9 +55,8 @@ class VolMap:
 def _sigmoid(z):
     """1 / (1 + e^{-z}) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
     z = np.asarray(z, dtype=float)
-    pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(-np.abs(z))  # e^{-z} for z >= 0, e^z below, so at most 1
+    return np.maximum(e, z >= 0) / (1.0 + e)  # the numerator is 1 for z >= 0, e^z below
 
 
 @dataclass(frozen=True)
@@ -86,12 +79,12 @@ def _simulate_batch(
     cfg: RVConfig, grid: GridSpec, master_seed: int, start: int, count: int,
     weights: bool = False,
 ):
-    """Terminal values (S_T, sigma_T, dS_dx2[N], w) of consecutive path indices.
+    """Terminal values (S_T, sigma_T, w) of consecutive path indices.
 
     Two disjoint counter streams per path: one for the fBm-generating Wiener
     increments, one for the stock's dW'.  The stock takes log-Euler steps
     S_{k+1} = S_k step_k (exact for constant g, positivity-preserving), whose
-    exact x2-derivative is dS_dx2[k] = S_k Q_k with
+    exact x2-derivative is S_k Q_k with
     Q_k = sum_{j<k} g'(sigma_j) J_j (dW'_j - g(sigma_j) dt), J the vol flow
     (so 0 at gamma = 0).  S cancels from the Wiener weights
     w1 = sum_k dW'_k / g(sigma_k) / (T x1) and
@@ -99,49 +92,67 @@ def _simulate_batch(
     with w2b the flow's fractional weight from the sigma solve; None unless
     weights.
 
-    The loop runs time-major, _STEP_BLOCK steps at a time, carrying only S,
-    Q, w1 and w2a per path (see _running), so S_T keeps a per-step loop's
-    bits.  A non-finite stock value names the block's first bad step and its
-    first bad row, and a non-finite w its batch row.
+    dW' is drawn before the solve, and the stock runs inside it: each block
+    of the sigma stream (sde._solve_blocks) advances S, Q, w1 and w2a, (B,)
+    rows carried in place, row by row in step order (see _stock_block), so
+    the batch holds the dual over dW, bh and dW' and no sigma or flow path,
+    and S_T keeps a per-step loop's bits.  Faults are raised in block order:
+    the block's sigma state and flow factor, its flow and w2b, then its stock
+    value, which names the block's first bad step and its first bad row.  A
+    non-finite w names its batch row.
     """
-    n, dt = grid.n_steps, grid.dt
     dW, bh = sample_joint_batch(grid, cfg.h, 1, master_seed, start, count, STREAM_FRACTIONAL)
     dual = _dual_batch(cfg.h, dW, grid) if weights else None
     del dW
-    sigma, _, dsig, w2b = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True, dual=dual)
-    del bh, dual  # before dW' is drawn, so the solve's peak is the batch's
     dWp = wiener_increment_batch(grid, master_seed, start, count, stream=STREAM_STOCK)
-    s, q, w1, w2a = np.full(count, float(cfg.x1)), *np.zeros((3, count))
-    for k0 in range(0, n, _STEP_BLOCK):
-        blk = slice(k0, min(k0 + _STEP_BLOCK, n))
-        gs, dg = cfg.g.value_and_deriv(np.ascontiguousarray(sigma[:, blk, 0].T))
-        dw = np.ascontiguousarray(dWp[:, blk].T)
-        sk = _running(np.multiply, s, np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dw))
-        if not np.all(np.isfinite(sk)):
-            j, row = np.argwhere(~np.isfinite(sk))[0]
-            raise FloatingPointError(f"non-finite stock value at step {k0 + j} in batch row {row}")
-        dg *= dsig[:, blk, 0].T
-        dg *= dw - gs * dt
-        qk = _running(np.add, q, dg)
+    carry = np.zeros((4, count))  # S, Q, and the running sums of w1 x1 and w2a
+    carry[0] = cfg.x1
+    w2b = np.zeros((count, 1)) if weights else None
+    for k0, state, flow in _solve_blocks(cfg.vol_drift, [[cfg.x2]], bh, grid):
         if weights:
-            u = (1.0 / grid.horizon) * dw / gs
-            w1 = _running(np.add, w1, u)[-1].copy()  # views would keep the block's arrays
-            w2a = _running(np.add, w2a, u * qk[:-1])[-1].copy()
-        s, q = sk[-1].copy(), qk[-1].copy()
-    w = np.stack([w1 / cfg.x1, w2a + w2b[:, 0]], axis=1) if weights else None
+            w2b = _add_weight(w2b, flow, dual, k0)
+        _stock_block(cfg, grid, state[:-1, 0, :, 0], flow[:-1, :, 0], dWp, k0, carry, weights)
+    w = np.stack([carry[2] / cfg.x1, carry[3] + w2b[:, 0]], axis=1) if weights else None
     if weights and not np.all(np.isfinite(w)):
         row = np.argwhere(~np.isfinite(w))[0, 0]
         raise FloatingPointError(f"non-finite delta weight in batch row {row}")
-    return s, sigma[:, -1, 0], s * q, w
+    return carry[0], state[-1, 0, :, 0].copy(), w
 
 
-def _running(ufunc, carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Rows carry, then ufunc's running product or sum over the time-major terms.
+def _stock_block(cfg: RVConfig, grid: GridSpec, sigma, jac, dWp, k0: int, carry, weights: bool):
+    """Advance carry = (S, Q, w1 x1, w2a), (4, B), over the steps k0 .. k0+nb-1.
 
-    It steps one row at a time in step order for any batch width (np.add.reduce
-    would sum a batch of one pairwise), so no bit of a path depends on its batch.
+    sigma and jac are the block's time-major vol states and flow, (nb, B),
+    and dWp all stock increments, (B, n).  The step factors, the Q drive and
+    the weight terms are formed over the whole block; then S and Q take one
+    row per step, and w1 and w2a together one (2, B) row, in step order for
+    any batch width, so no bit of a path depends on its batch.
     """
-    return ufunc.accumulate(np.vstack([carry, terms]), axis=0)
+    nb, B = sigma.shape
+    dt = grid.dt
+    gs, dg = cfg.g.value_and_deriv(sigma)
+    dw = np.ascontiguousarray(dWp[:, k0 : k0 + nb].T)
+    s, q = np.empty((2, nb + 1, B))  # rows of S and of Q at steps k0 .. k0+nb
+    s[0], q[0] = carry[:2]
+    np.exp((cfg.mu - 0.5 * gs**2) * dt + gs * dw, out=s[1:])  # step factors
+    np.multiply(dg, jac, out=q[1:])  # the drive of Q
+    del dg
+    q[1:] *= dw - gs * dt
+    if weights:
+        u = np.empty((nb, 2, B))  # rows (a dW'_k / g(sigma_k), its product with Q_k)
+        np.multiply(1.0 / grid.horizon, dw, out=u[:, 0])
+        np.divide(u[:, 0], gs, out=u[:, 0])
+    del gs, dw
+    for j in range(nb):
+        np.multiply(s[j], s[j + 1], out=s[j + 1])
+        np.add(q[j], q[j + 1], out=q[j + 1])
+    _check_block(s[1:, :, None], k0 + 1, "stock value")
+    carry[0], carry[1] = s[nb], q[nb]
+    if weights:
+        np.multiply(u[:, 0], q[:nb], out=u[:, 1])
+        w = carry[2:]
+        for j in range(nb):
+            np.add(w, u[j], out=w)
 
 
 def _sbel_block(cfg: RVConfig, payoff, grid: GridSpec, master_seed, start, count):
@@ -151,7 +162,7 @@ def _sbel_block(cfg: RVConfig, payoff, grid: GridSpec, master_seed, start, count
     master_seed and start, so the batch row they name is path start + row.
     """
     with _replayable(master_seed, start):
-        s_T, sigma_T, _, w = _simulate_batch(cfg, grid, master_seed, start, count, True)
+        s_T, sigma_T, w = _simulate_batch(cfg, grid, master_seed, start, count, True)
     phi = np.asarray(payoff(s_T, sigma_T), dtype=float).reshape(count)
     if np.any(np.isnan(phi)):
         raise FloatingPointError("payoff returned NaN")

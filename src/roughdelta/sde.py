@@ -154,36 +154,30 @@ def default_epsilon(grid: GridSpec, h) -> float:
     return 4.0 * math.sqrt(grid.dt) * grid.horizon**h.h
 
 
-def solve_batch(
-    drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec, path: bool = False, dual=None
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _solve_blocks(drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec):
     """Explicit Euler for dX = b_eps(t, X) dt + dB^H from m starts, with the flow of the first.
 
     bh has shape (B, n+1, d) and starts shape (m, d); every start runs on the
     same fBm paths, and the drift is taken at the left endpoint of each step.
     The first start also carries the diagonal of its first-variation flow
-    J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I.  Returns
-    (x, ends, jac, pi): the terminal states of every start, ends, (m, B, d);
-    when path is true the states x and the flow jac of starts[0], each of
-    bh's shape (else None, so no path-sized array is spent on them); and
-    when a dual of shape (B, n, d) is given, the weight
-    pi = sum_j J[j] dual[:, j], (B, d) (else None).
+    J[k+1] = J[k] (1 + Db_eps(t_k, X_k) dt), J[0] = I.  Yields
+    (k0, state, flow) for each block of up to _STEP_BLOCK steps: time-major
+    views of the states, (nb+1, m, B, d), and of the flow of starts[0],
+    (nb+1, B, d), at steps k0 .. k0+nb.  They are overwritten once the next
+    block is asked for.
 
-    The state advances time-major, one (m, B, d) row per step.  Increments go
-    in, and x and jac come out, _STEP_BLOCK steps at a time, so no full-size
-    transposed copy is made.  Each element of x, ends and jac sees the
-    arithmetic of a path-major loop.  pi takes one block's terms at a time,
-    formed path-major, and adds their sum over the block's steps; that sum
-    reduces each row's contiguous terms on their own.  So no bit of a row
-    depends on the layout or on the batch.
+    The per-step loop advances only the state, one (m, B, d) row per step.
+    The block's flow factors then come from one drift.derivative call over
+    starts[0]'s states, with the times as a column (so a drift must broadcast
+    t against x), and the flow advances row by row.  Each element sees the
+    arithmetic of a path-major loop, so no bit of a row depends on the layout
+    or on the batch.
 
     A non-finite state names its start index, batch row and step, and a
     non-positive flow factor (the weight assumes an orientation-preserving
-    flow) its batch row, step and component.  Both are checked every step;
-    step k's factor before the state at step k+1 is formed, so of the two the
-    earlier one is raised.  With a dual, the block's flow and then pi are
-    checked once per block, after its states: a non-finite flow or weight
-    contribution names the first bad step in the block and its first bad row.
+    flow) its batch row, step and component.  Both are checked once per
+    block, before it is yielded; of step k's factor and the state at step
+    k+1 the factor is raised first, so the earliest fault in step order wins.
     """
     B, n1, d = bh.shape
     starts = np.asarray(starts, dtype=float)
@@ -191,51 +185,79 @@ def solve_batch(
         raise ValueError(f"starts have shape {starts.shape}, need (m >= 1, d={d})")
     dt = grid.dt
     t = grid.times
-    x = np.empty_like(bh) if path else None
-    jac = np.empty_like(bh) if path else None
     state = np.empty((_STEP_BLOCK + 1, len(starts), B, d))
     flow = np.empty((_STEP_BLOCK + 1, B, d))
     inc = np.empty((_STEP_BLOCK, B, d))
     state[0] = starts[:, None]
     flow[0] = 1.0
-    pi = None if dual is None else np.zeros((B, d))
-    terms = None if dual is None else np.empty((B, _STEP_BLOCK, d))
-    swap = lambda a: a.transpose(1, 0, 2)  # path-major <-> time-major view
     for k0 in range(0, n1 - 1, _STEP_BLOCK):
         nb = min(_STEP_BLOCK, n1 - 1 - k0)
-        np.subtract(swap(bh[:, k0 + 1 : k0 + nb + 1]), swap(bh[:, k0 : k0 + nb]), out=inc[:nb])
+        rows = np.swapaxes(bh[:, k0 : k0 + nb + 1], 0, 1)  # time-major view
+        np.subtract(rows[1:], rows[:-1], out=inc[:nb])
         for j in range(nb):
-            k = k0 + j
-            factor = 1.0 + drift.derivative(t[k], state[j, 0]) * dt
-            if np.any(factor <= 0.0):
-                row, comp = np.argwhere(factor <= 0.0)[0]
-                raise FloatingPointError(
-                    f"flow factor non-positive in batch row {row} at step {k} in"
-                    f" component {comp}; decrease dt or epsilon"
-                )
-            np.multiply(flow[j], factor, out=flow[j + 1])
-            np.add(state[j] + drift.value(t[k], state[j]) * dt, inc[j], out=state[j + 1])
-            if not np.all(np.isfinite(state[j + 1])):
+            np.add(state[j] + drift.value(t[k0 + j], state[j]) * dt, inc[j], out=state[j + 1])
+        factor = 1.0 + drift.derivative(t[k0 : k0 + nb, None, None], state[:nb, 0]) * dt
+        # step j's factor, then the state at step j+1: a per-step loop's order
+        bad_state = ~np.all(np.isfinite(state[1 : nb + 1]), axis=(1, 2, 3))
+        bad = np.stack([np.any(factor <= 0.0, axis=(1, 2)), bad_state], axis=1)
+        if np.any(bad):
+            j, of_state = divmod(int(np.argmax(bad)), 2)
+            if of_state:
                 start, row, _ = np.argwhere(~np.isfinite(state[j + 1]))[0]
                 raise FloatingPointError(
-                    f"non-finite state at step {k + 1} from start {start} in batch row {row}"
+                    f"non-finite state at step {k0 + j + 1} from start {start} in batch row {row}"
                 )
-        if dual is not None:
-            _check_block(flow[1 : nb + 1], k0 + 1, "flow")
-            run = np.multiply(swap(flow[:nb]), dual[:, k0 : k0 + nb], out=terms[:, :nb])
-            total = pi + np.add.reduce(run, axis=1)
-            if not np.all(np.isfinite(total)):  # name the step the running sum turns bad
-                with np.errstate(invalid="ignore", over="ignore"):
-                    partial = pi[:, None] + np.cumsum(run, axis=1)
-                partial[:, -1] = total  # the block's own sum may overflow where cumsum does not
-                _check_block(swap(partial), k0, "weight contribution")
-            pi = total
-        if path:  # column k0 again too, which block 0 needs for the start
-            x[:, k0 : k0 + nb + 1] = swap(state[: nb + 1, 0])
-            jac[:, k0 : k0 + nb + 1] = swap(flow[: nb + 1])
+            row, comp = np.argwhere(factor[j] <= 0.0)[0]
+            raise FloatingPointError(
+                f"flow factor non-positive in batch row {row} at step {k0 + j} in"
+                f" component {comp}; decrease dt or epsilon"
+            )
+        for j in range(nb):
+            np.multiply(flow[j], factor[j], out=flow[j + 1])
+        del factor
+        yield k0, state[: nb + 1], flow[: nb + 1]
         state[0] = state[nb]
         flow[0] = flow[nb]
-    return x, state[0].copy(), jac, pi
+
+
+def solve_batch(
+    drift: MollifiedDrift, starts, bh: np.ndarray, grid: GridSpec, dual=None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(ends, pi) from the blocks of _solve_blocks, keeping no path.
+
+    See _solve_blocks for the arguments, the arithmetic and the checks.  ends
+    are every start's terminal states, (m, B, d).  Given a dual of shape
+    (B, n, d), pi = sum_j J[j] dual[:, j], (B, d), J the flow of starts[0],
+    is added block by block (see _add_weight); else pi is None.
+    """
+    pi = None if dual is None else np.zeros((bh.shape[0], bh.shape[2]))
+    for k0, state, flow in _solve_blocks(drift, starts, bh, grid):
+        if dual is not None:
+            pi = _add_weight(pi, flow, dual, k0)
+    return state[-1].copy(), pi
+
+
+def _add_weight(pi: np.ndarray, flow: np.ndarray, dual: np.ndarray, k0: int) -> np.ndarray:
+    """pi plus the weight terms J[k] dual[:, k] of one flow block of _solve_blocks, (B, d).
+
+    The terms are formed path-major and their sum over the block's steps,
+    which reduces each row's contiguous terms on their own, is added, so no
+    bit of a row depends on the batch.  The block's flow and then pi are
+    checked; a non-finite flow or weight contribution names the first bad
+    step in the block and its first bad row.
+    """
+    B, d = pi.shape
+    nb = len(flow) - 1
+    _check_block(flow[1:], k0 + 1, "flow")
+    terms = np.empty((B, _STEP_BLOCK, d))[:, :nb]  # a short last block keeps a full one's strides
+    run = np.multiply(np.swapaxes(flow[:nb], 0, 1), dual[:, k0 : k0 + nb], out=terms)
+    total = pi + np.add.reduce(run, axis=1)
+    if not np.all(np.isfinite(total)):  # name the step the running sum turns bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            partial = pi[:, None] + np.cumsum(run, axis=1)
+        partial[:, -1] = total  # the block's own sum may overflow where cumsum does not
+        _check_block(np.swapaxes(partial, 0, 1), k0, "weight contribution")
+    return total
 
 
 def _check_block(block: np.ndarray, k0: int, what: str) -> None:

@@ -52,6 +52,7 @@ from roughdelta.sde import (
     mollify,
     solve_batch,
 )
+from test_sde import stream_path
 
 H01 = HurstParam(0.1)
 
@@ -221,7 +222,9 @@ def test_07_flow_accuracy():
     m = mollify(LinearDrift(lam), 0.05)
     _, bh = sample_joint_batch(grid, H01, 1, 31, 0, 1)  # path 0 as a batch of one
     bump = 1e-5
-    _, ends, jac, _ = solve_batch(m, [[0.2], [0.2 + bump], [0.2 - bump]], bh, grid, path=True)
+    starts = [[0.2], [0.2 + bump], [0.2 - bump]]
+    _, jac = stream_path(m, starts, bh, grid)
+    ends, _ = solve_batch(m, starts, bh, grid)
     jac_T = jac[0, -1, 0]
     rel = abs(jac_T - math.exp(lam)) / math.exp(lam)
 
@@ -253,7 +256,7 @@ def test_08_girsanov():
     _, xif = reweighted_expectation(
         H01, mol, f, bh[:, :, 0], dW[:, :, 0], grid, 0.3
     )
-    _, ends, _, _ = solve_batch(mol, [[0.3]], bh, grid)
+    ends, _ = solve_batch(mol, [[0.3]], bh, grid)
     xt = ends[0, :, 0]
     direct = f(xt)
     gap = abs(xif.mean() - direct.mean())

@@ -20,6 +20,7 @@ from roughdelta.sde import (
     mollify,
     solve_batch,
 )
+from test_sde import stream_path
 
 H01 = HurstParam(0.1)
 # Grid horizons of the weight tests: the weight averages with a = 1/T
@@ -91,11 +92,10 @@ def _reference_weight(h, jac, dW, grid):
 
 
 def _fused_weight(drift, h, dW, bh, grid, x0=0.0):
-    """(pi, jac) from one solve that carries the weight's dual; dW is left as it was."""
-    d = dW.shape[2]
-    dual = _dual_batch(h, dW.copy(), grid)
-    _, _, jac, pi = solve_batch(drift, np.full((1, d), x0), bh, grid, path=True, dual=dual)
-    return pi, jac
+    """(pi, jac): pi from a solve that carries the weight's dual, jac from the stream; dW is kept."""
+    starts = np.full((1, dW.shape[2]), x0)
+    pi = solve_batch(drift, starts, bh, grid, dual=_dual_batch(h, dW.copy(), grid))[1]
+    return pi, stream_path(drift, starts, bh, grid)[1]
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ class _Cliff:
 class _Poison:
     """b = 0, and Db = 0 but at each (step, row, value) of faults: flow faults placed by hand.
 
-    Db at step k sets the flow at step k+1.
+    Db at step k sets the flow at step k+1.  Db is asked for a block of
+    steps at once: x is (steps, B, d) and t the column of their times.
     """
 
     times: np.ndarray
@@ -129,8 +130,7 @@ class _Poison:
     def derivative(self, t, x):
         out = np.zeros_like(x)
         for step, row, v in self.faults:
-            if t == self.times[step]:
-                out[row] = v
+            out[np.ravel(t) == self.times[step], row] = v
         return out
 
 
@@ -140,7 +140,7 @@ _ZERO = mollify(ZeroDrift(), 0.05)
 def _zero_drift_flows(grid, seed, start, count):
     """(dW, bh, flow) of zero-drift paths start .. start+count-1."""
     dW, bh = sample_joint_batch(grid, H01, 1, seed, start, count)
-    return dW, bh, solve_batch(_ZERO, [[0.0]], bh, grid, path=True)[2]
+    return dW, bh, stream_path(_ZERO, [[0.0]], bh, grid)[1]
 
 
 class TestPayoffRegistry:

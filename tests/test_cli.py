@@ -304,3 +304,19 @@ class TestModes:
 
     def test_main_error_exit_code(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
+
+    def test_numerical_fault_exit_code(self, tmp_path, capsys):
+        # a steep mollified drift on a coarse grid flips the flow factor of
+        # path 0 at step 0: one stderr line with the replay address, status
+        # 3 (config errors keep 2), and no CSV
+        out = tmp_path / "r.csv"
+        argv = [
+            "--mode", "delta-sde", "--drift", "regime:-1,1,0", "--epsilon", "1e-3",
+            "--steps", "16", "--paths", "64", "--out", str(out),
+        ]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: flow factor non-positive in batch row 0 at step 0 in component 0;"
+            " decrease dt or epsilon (master_seed 0, batch row 0 is path 0)\n"
+        )
+        assert not out.exists()

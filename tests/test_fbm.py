@@ -31,6 +31,7 @@ from roughdelta.fbm import (
 from roughdelta.frac_core import _CONV_ROWS, HurstParam, _kernel_vec
 from roughdelta.girsanov import girsanov_xi_batch
 from roughdelta.sde import _STEP_BLOCK, RegimeSwitchDrift, mollify, solve_batch
+from test_sde import stream_path
 
 H01 = HurstParam(0.1)
 
@@ -268,13 +269,16 @@ class TestBatchSplit:
         starts = rng.normal(0.0, 0.5, (m, d))
         dual = rng.normal(0.0, 1.0, (count, n, d))
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.1), 0.05)
-        solve = lambda r: solve_batch(drift, starts, bh[r], grid, path=True, dual=dual[r])
+        solve = lambda r: (
+            *stream_path(drift, starts, bh[r], grid),
+            *solve_batch(drift, starts, bh[r], grid, dual=dual[r]),
+        )
         whole = solve(slice(0, count))
         halves = zip(solve(slice(0, cut)), solve(slice(cut, count)))
-        for w, (a, b), axis in zip(whole, halves, (0, 1, 0, 0)):
+        for w, (a, b), axis in zip(whole, halves, (0, 0, 1, 0)):
             assert w.tobytes() == np.concatenate([a, b], axis=axis).tobytes()
         for p in range(count):
-            for w, one, axis in zip(whole, solve(slice(p, p + 1)), (0, 1, 0, 0)):
+            for w, one, axis in zip(whole, solve(slice(p, p + 1)), (0, 0, 1, 0)):
                 assert np.take(w, [p], axis=axis).tobytes() == one.tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -296,7 +300,7 @@ class TestBatchSplit:
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
         weight = lambda r: solve_batch(
             drift, starts, bh[r], grid, dual=_dual_batch(H01, dW[r].copy(), grid)
-        )[3]
+        )[1]
         whole = weight(slice(0, count))
         halves = np.concatenate([weight(slice(0, cut)), weight(slice(cut, count))])
         assert whole.tobytes() == halves.tobytes()
@@ -339,7 +343,7 @@ drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.0), 0.05)
 def draw(start, count):
     dW, bh = sample_joint_batch(grid, h, 1, 17, start, count)
     log_xi = girsanov_xi_batch(h, drift, bh[:, :, 0], dW[:, :, 0], grid, 0.1)
-    pi = solve_batch(drift, [[0.1]], bh, grid, dual=_dual_batch(h, dW, grid))[3]
+    pi = solve_batch(drift, [[0.1]], bh, grid, dual=_dual_batch(h, dW, grid))[1]
     return bh, pi, log_xi
 
 whole = draw(0, 4096)

@@ -18,11 +18,11 @@ H01 = HurstParam(0.1)
 
 
 class TestGaussianReference:
-    def test_digital_delta_is_normal_density(self):
-        # X_T ~ N(x, T^{2H}); d/dx P(X_T > K) = pdf((K-x)/T^H)/T^H
-        x, strike, T = 0.1, 0.3, 1.0
-        sd = T**H01.h
-        expected = norm.pdf((strike - x) / sd) / sd
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_digital_delta_is_normal_density(self, T):
+        # X_T ~ N(x, T^{2H}); d/dx P(X_T > K) = pdf(K; x, T^H)
+        x, strike = 0.1, 0.3
+        expected = norm.pdf(strike, loc=x, scale=T**H01.h)
         assert gaussian_digital_delta(x, strike, T, H01) == pytest.approx(
             expected, rel=1e-12
         )

@@ -127,7 +127,7 @@ class TestReweighting:
         xi, xif = reweighted_expectation(
             H01, drift, f, bh[:, :, 0], dW[:, :, 0], grid, 0.3
         )
-        _, ends, _, _ = solve_batch(drift, [[0.3]], bh, grid)
+        ends, _ = solve_batch(drift, [[0.3]], bh, grid)
         xt = ends[0, :, 0]
         direct = f(xt)
         gap = abs(xif.mean() - direct.mean())

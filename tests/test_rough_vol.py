@@ -25,6 +25,7 @@ from roughdelta.rough_vol import (
 )
 from roughdelta.sde import _STEP_BLOCK, RegimeSwitchDrift, ZeroDrift, mollify, solve_batch
 from test_bel import _Cliff, _traced_peak
+from test_sde import stream_path
 
 H01 = HurstParam(0.1)
 
@@ -44,23 +45,24 @@ class TestVolMap:
     def test_bounds(self):
         g = VolMap(0.2, 0.3)
         z = np.array([-50.0, 0.0, 50.0])
-        v = g(z)
+        v = g.value_and_deriv(z)[0]
         assert np.all(v > 0.2 - 1e-15)
         assert np.all(v < 0.5 + 1e-15)
-        assert g(np.array([0.0]))[0] == pytest.approx(0.35)
+        assert g.value_and_deriv(np.array([0.0]))[0][0] == pytest.approx(0.35)
 
     def test_derivative_matches_fd(self):
         g = VolMap(0.2, 0.3)
         z = np.linspace(-3, 3, 13)
         d = 1e-6
-        fd = (g(z + d) - g(z - d)) / (2 * d)
-        np.testing.assert_allclose(g.deriv(z), fd, atol=1e-9)
+        fd = (g.value_and_deriv(z + d)[0] - g.value_and_deriv(z - d)[0]) / (2 * d)
+        np.testing.assert_allclose(g.value_and_deriv(z)[1], fd, atol=1e-9)
 
     def test_constant_when_gamma_zero(self):
         g = VolMap(0.2, 0.0)
         z = np.linspace(-5, 5, 7)
-        np.testing.assert_array_equal(g(z), 0.2)
-        np.testing.assert_array_equal(g.deriv(z), 0.0)
+        value, deriv = g.value_and_deriv(z)
+        np.testing.assert_array_equal(value, 0.2)
+        np.testing.assert_array_equal(deriv, 0.0)
 
 
 class TestRVConfig:
@@ -73,7 +75,8 @@ def _inputs(cfg, grid, seed, start, count, weights=False):
     """(sigma, dsig, dW', w2b) of paths start .., drawn and solved as _simulate_batch does."""
     dW, bh = sample_joint_batch(grid, cfg.h, 1, seed, start, count, stream=STREAM_FRACTIONAL)
     dual = _dual_batch(cfg.h, dW, grid) if weights else None
-    sigma, _, dsig, w2b = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, path=True, dual=dual)
+    w2b = solve_batch(cfg.vol_drift, [[cfg.x2]], bh, grid, dual=dual)[1]
+    sigma, dsig = stream_path(cfg.vol_drift, [[cfg.x2]], bh, grid)
     dWp = wiener_increment_batch(grid, seed, start, count, stream=STREAM_STOCK)
     return sigma[:, :, 0], dsig[:, :, 0], dWp, w2b
 
@@ -121,23 +124,31 @@ def _assert_close_to_terms(got, terms, tol=1e-13):
     assert np.all(np.abs(got - np.sum(terms, axis=1)) <= tol * scale)
 
 
+def _dx2_terminal(cfg, grid, seed, start, count):
+    """Oracle dS_T/dx2 of paths start ..: the reference's per-step k2 recursion at T."""
+    return _stock_reference(cfg, *_inputs(cfg, grid, seed, start, count)[:3], grid)[1][:, -1]
+
+
 def _check_against_reference(cfg, grid, seed, count):
     """_simulate_batch's terminal values against the path-major oracle.
 
-    S_T and sigma_T bitwise; k2_T, w1 and w2a + w2b within 1e-13 of each
-    row's largest term, and k2_T and w2a exactly 0 at gamma = 0.
+    S_T and sigma_T bitwise; w1 and w2a + w2b within 1e-13 of each row's
+    largest term, and w2a exactly 0 at gamma = 0.  The reference's k2_T is
+    S_T Q_T, Q_T the running sum of its drive, which is what lets w2a
+    cancel S.
     """
-    s_T, sigma_T, k2_T, w = _simulate_batch(cfg, grid, seed, 0, count, True)
+    s_T, sigma_T, w = _simulate_batch(cfg, grid, seed, 0, count, True)
     sigma, dsig, dWp, w2b = _inputs(cfg, grid, seed, 0, count, True)
     s, k2, drive, t1, t2 = _stock_reference(cfg, sigma, dsig, dWp, grid, True)
     assert s_T.tobytes() == s[:, -1].tobytes()
     assert sigma_T.tobytes() == sigma[:, -1].tobytes()
     # k2_T = sum_k S_T drive_k, whose running sum is what the recursion steps
-    assert np.all(np.abs(k2_T - k2[:, -1]) <= 1e-13 * np.max(np.abs(s[:, -1:] * drive), axis=1))
+    s_q = s[:, -1] * np.sum(drive, axis=1)
+    assert np.all(np.abs(s_q - k2[:, -1]) <= 1e-13 * np.max(np.abs(s[:, -1:] * drive), axis=1))
     _assert_close_to_terms(w[:, 0], t1)
     _assert_close_to_terms(w[:, 1], np.concatenate([t2, w2b], axis=1))
     if cfg.g.gamma == 0:
-        assert np.all(k2_T == 0.0)
+        assert np.all(k2[:, -1] == 0.0)
         assert w[:, 1].tobytes() == w2b[:, 0].tobytes()  # w2a is exactly 0
 
 
@@ -176,8 +187,10 @@ class TestSimulate:
         np.testing.assert_allclose((up - dn) / (2 * bump), s_T / 2.0, rtol=1e-8)
 
     def test_dx2_zero_when_gamma_zero(self):
-        _, _, k2_T, _ = _simulate_batch(_cfg(gamma=0.0), GridSpec(1.0, 64), 5, 0, 16)
-        np.testing.assert_array_equal(k2_T, 0.0)
+        # constant volatility: the stock does not depend on the vol factor's start
+        grid = GridSpec(1.0, 64)
+        s_T, other = (_simulate_batch(_cfg(gamma=0.0, x2=v), grid, 5, 0, 16)[0] for v in (0.0, 0.7))
+        assert s_T.tobytes() == other.tobytes()
 
     def test_dx2_matches_pathwise_fd(self):
         # exact derivative of the discrete recursion vs central differences
@@ -187,7 +200,7 @@ class TestSimulate:
             _simulate_batch(_cfg(gamma=0.3, x2=x2), grid, 9, 4, 8)[0]
             for x2 in (0.1 + bump, 0.1 - bump)
         )
-        _, _, k2_T, _ = _simulate_batch(_cfg(gamma=0.3, x2=0.1), grid, 9, 4, 8)
+        k2_T = _dx2_terminal(_cfg(gamma=0.3, x2=0.1), grid, 9, 4, 8)
         np.testing.assert_allclose(k2_T, (up - dn) / (2 * bump), rtol=1e-3, atol=1e-6)
 
     def test_gbm_mean_when_gamma_zero(self):
@@ -245,10 +258,10 @@ class TestBatchWorkingSet:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_sbel_batch_holds_under_five_path_arrays(self, monkeypatch, workers):
-        # at its peak the sigma solve holds bh, the dual over dW, the vol path
-        # and its flow; dW' is drawn after bh and the dual go, and the stock
-        # loop carries (B,) rows only, so a kept stock path, its x2-variation
-        # or g(sigma) would add a path-sized array each
+        # the batch holds bh, the dual over dW and dW', drawn before the
+        # sigma solve, whose 32-step blocks the stock reads; the stock carries
+        # (B,) rows only, so a kept vol path, its flow, a stock path, its
+        # x2-variation or g(sigma) would add a path-sized array each
         monkeypatch.setattr(bel, "_WORKERS", workers)
         B, n = self.B, self.N
         grid = GridSpec(1.0, n)
@@ -258,7 +271,7 @@ class TestBatchWorkingSet:
         assert peak < 5 * B * (n + 1) * 8
 
     def test_fd_runner_holds_under_five_path_arrays(self):
-        # the vol path, its flow and dW', plus one block's temporaries
+        # bh and dW', plus one block's temporaries
         B, n = self.B, self.N
         runner = rv_payoff_runner(_cfg(gamma=0.3), self.PAYOFF, GridSpec(1.0, n))
         peak = _traced_peak(lambda: runner(np.array([1.0, 0.0]), 3, 0, B))
@@ -294,7 +307,7 @@ def _fault(case):
     if case == "stock":
         s = _stock_reference(cfg, *_inputs(cfg, _FAULT_GRID, 4, 0, 64)[:3], _FAULT_GRID)[0]
         return 4, _cfg(gamma=0.3, x1=big / 2.6), s > 2.6, "non-finite stock value at step {k}"
-    w1 = _simulate_batch(cfg, _FAULT_GRID, 5, 0, 64, True)[3][:, 0]
+    w1 = _simulate_batch(cfg, _FAULT_GRID, 5, 0, 64, True)[2][:, 0]
     x1 = 9.0 / big
     return 5, _cfg(gamma=0.3, x1=x1), ~np.isfinite(w1 / x1)[:, None], "non-finite delta weight"
 

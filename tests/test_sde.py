@@ -15,6 +15,7 @@ from roughdelta.sde import (
     RegimeSwitchOUDrift,
     ZeroDrift,
     _STEP_BLOCK,
+    _solve_blocks,
     default_epsilon,
     mollify,
     solve_batch,
@@ -26,6 +27,16 @@ H01 = HurstParam(0.1)
 def _path(grid, d, seed, index):
     """(dW, bh) of one path, as a batch of one."""
     return sample_joint_batch(grid, H01, d, seed, index, 1)
+
+
+def stream_path(drift, starts, bh, grid):
+    """(x, jac): the states and the flow of starts[0], each of bh's shape, from the stream."""
+    x, jac = np.empty_like(bh), np.empty_like(bh)
+    for k0, state, flow in _solve_blocks(drift, starts, bh, grid):
+        k1 = k0 + len(flow)  # column k0 again too, which block 0 needs for the start
+        x[:, k0:k1] = state[:, 0].transpose(1, 0, 2)
+        jac[:, k0:k1] = flow.transpose(1, 0, 2)
+    return x, jac
 
 
 def _euler_reference(drift, x0, bh, grid):
@@ -128,10 +139,11 @@ class TestMollification:
         fd = (m.value(0.0, x + d) - m.value(0.0, x - d)) / (2 * d)
         np.testing.assert_allclose(m.derivative(0.0, x), fd, atol=1e-5)
 
-    def test_default_epsilon_scale(self):
-        grid = GridSpec(1.0, 256)
+    @pytest.mark.parametrize("horizon", [1.0, 2.0])
+    def test_default_epsilon_scale(self, horizon):
+        grid = GridSpec(horizon, 256)
         assert default_epsilon(grid, H01) == pytest.approx(
-            4.0 * math.sqrt(1.0 / 256), rel=1e-12
+            4.0 * math.sqrt(horizon / 256) * horizon**0.1, rel=1e-12
         )
 
 
@@ -140,7 +152,8 @@ class TestEulerSolver:
         grid = GridSpec(1.0, 64)
         _, bh = _path(grid, 1, 1, 0)
         m = mollify(ZeroDrift(), 0.05)
-        x, ends, _, _ = solve_batch(m, [[0.3]], bh, grid, path=True)
+        x, _ = stream_path(m, [[0.3]], bh, grid)
+        ends, _ = solve_batch(m, [[0.3]], bh, grid)
         np.testing.assert_allclose(x[0, :, 0], 0.3 + bh[0, :, 0], atol=1e-14)
         assert ends[0].tobytes() == x[:, -1].tobytes()
 
@@ -148,7 +161,7 @@ class TestEulerSolver:
         grid = GridSpec(1.0, 64)
         _, bh = _path(grid, 1, 1, 0)
         m = mollify(RegimeSwitchDrift(0.7, 0.7), 0.05)
-        x, _, _, _ = solve_batch(m, [[0.0]], bh, grid, path=True)
+        x, _ = stream_path(m, [[0.0]], bh, grid)
         np.testing.assert_allclose(
             x[0, :, 0], 0.7 * grid.times + bh[0, :, 0], atol=1e-12
         )
@@ -161,7 +174,8 @@ class TestEulerSolver:
         for starts in (0.0, [0.0, 0.5], [[0.0]], [[0.0, 0.5, 1.0]], [[[0.0, 0.5]]]):
             with pytest.raises(ValueError, match="d=2"):
                 solve_batch(m, starts, bh, grid)
-        x, ends, jac, _ = solve_batch(m, [[0.0, 0.5]], bh, grid, path=True)
+        x, jac = stream_path(m, [[0.0, 0.5]], bh, grid)
+        ends, _ = solve_batch(m, [[0.0, 0.5]], bh, grid)
         assert x.shape == jac.shape == bh.shape
         assert ends.shape == (1, 1, 2)
 
@@ -173,9 +187,14 @@ class TestEulerSolver:
         rng = np.random.default_rng(4)
         dual = rng.normal(0.0, 1.0, (8, 32, 1))
         m = mollify(RegimeSwitchDrift(1.0, -1.0), 0.05)
-        batch = solve_batch(m, [[0.1], [0.3]], bh, grid, path=True, dual=dual)
-        one = solve_batch(m, [[0.1], [0.3]], bh[6:7], grid, path=True, dual=dual[6:7])
-        for whole, single, axis in zip(batch, one, (0, 1, 0, 0)):
+
+        def solve(rows):
+            starts = [[0.1], [0.3]]
+            path = stream_path(m, starts, bh[rows], grid)
+            return (*path, *solve_batch(m, starts, bh[rows], grid, dual=dual[rows]))
+
+        batch, one = solve(slice(None)), solve(slice(6, 7))
+        for whole, single, axis in zip(batch, one, (0, 0, 1, 0)):
             assert np.take(whole, [6], axis=axis).tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("n", [2, _STEP_BLOCK - 1, _STEP_BLOCK, _STEP_BLOCK + 1, 1024])
@@ -183,22 +202,20 @@ class TestEulerSolver:
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_path_major_loops_bitwise(self, n, d, m):
         # the time-major kernel changes the layout only: x, every start's
-        # terminal state and the flow have the bytes of the path-major loops
+        # terminal state and the flow, whose factors come from one call per
+        # block, have the bytes of the path-major loops
         grid = GridSpec(1.0, n)
         _, bh = sample_joint_batch(grid, H01, d, 5, 0, 6)
         drift = mollify(RegimeSwitchDrift(1.0, -1.0, 0.05), default_epsilon(grid, H01))
         starts = np.linspace(-0.2, 0.3, m * d).reshape(m, d)
-        x, ends, jac, pi = solve_batch(drift, starts, bh, grid, path=True)
+        x, jac = stream_path(drift, starts, bh, grid)
+        ends, pi = solve_batch(drift, starts, bh, grid)
         assert pi is None
         ref = _euler_reference(drift, starts[0], bh, grid)
         assert x.tobytes() == ref.tobytes()
         assert jac.tobytes() == _flow_reference(drift, ref, grid).tobytes()
         for i in range(m):
             assert ends[i].tobytes() == _euler_reference(drift, starts[i], bh, grid)[:, -1].tobytes()
-        # without the path, no x or flow array is built and ends keep their bytes
-        lean = solve_batch(drift, starts, bh, grid)
-        assert lean[0] is None and lean[2] is None
-        assert lean[1].tobytes() == ends.tobytes()
 
 
 class TestFlow:
@@ -207,14 +224,14 @@ class TestFlow:
         grid = GridSpec(1.0, 1024)
         _, bh = _path(grid, 1, 2, 0)
         m = mollify(LinearDrift(lam), 0.05)
-        _, _, jac, _ = solve_batch(m, [[0.2]], bh, grid, path=True)
+        _, jac = stream_path(m, [[0.2]], bh, grid)
         assert jac[0, -1, 0] == pytest.approx(math.exp(lam), rel=1e-2)
 
     def test_zero_drift_identity(self):
         grid = GridSpec(1.0, 16)
         _, bh = _path(grid, 1, 2, 0)
         m = mollify(ZeroDrift(), 0.05)
-        _, _, jac, _ = solve_batch(m, [[0.0]], bh, grid, path=True)
+        _, jac = stream_path(m, [[0.0]], bh, grid)
         np.testing.assert_array_equal(jac, 1.0)
 
     def test_flow_matches_pathwise_fd(self):
@@ -223,7 +240,9 @@ class TestFlow:
         _, bh = _path(grid, 1, 8, 1)
         m = mollify(LinearDrift(0.5), 0.05)
         bump = 1e-5
-        _, ends, jac, _ = solve_batch(m, [[0.2], [0.2 + bump], [0.2 - bump]], bh, grid, path=True)
+        starts = [[0.2], [0.2 + bump], [0.2 - bump]]
+        _, jac = stream_path(m, starts, bh, grid)
+        ends, _ = solve_batch(m, starts, bh, grid)
         fd = (ends[1, 0, 0] - ends[2, 0, 0]) / (2 * bump)
         assert abs(jac[0, -1, 0] - fd) < 1e-2
 
@@ -242,7 +261,7 @@ class TestFlow:
         bh = np.zeros((3, 5, 2))
         with pytest.raises(FloatingPointError, match="step 0 in component 1"):
             solve_batch(m, [[-1.0, 1.0]], bh, grid)
-        _, _, jac, _ = solve_batch(m, [[-1.0]], bh[..., :1], grid, path=True)
+        _, jac = stream_path(m, [[-1.0]], bh[..., :1], grid)
         assert np.all(jac > 0.0)
 
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from roughdelta import bel, cli
+from roughdelta import bel
 from roughdelta.bel import _mc_mean, estimate_delta, make_payoff
 from roughdelta.cli import RunConfig, run
 from roughdelta.fbm import GridSpec, _normal_block
@@ -82,7 +82,6 @@ class TestCsv:
     def test_csv_bytes(self, tmp_path, monkeypatch, config):
         # uneven batches in every delta pass and in validate's variance loop
         monkeypatch.setattr(bel, "DEFAULT_BATCH", 250)
-        monkeypatch.setattr(cli, "DEFAULT_BATCH", 250)
         out = tmp_path / "r.csv"
 
         def csv_bytes():
@@ -167,6 +166,30 @@ class TestSlices:
         _mc_mean(600, block)
         assert rows == [max(1, _CONV_ROWS // workers)] * min(workers, 600)
         assert _conv_rows.get() == _CONV_ROWS  # restored for callers outside a batch
+
+    def test_queue_under_thread_switching(self, monkeypatch):
+        # more workers than cores take the slices of 84 batches from one queue,
+        # switching as often as the interpreter allows: each slice runs once
+        # and each row lands at its own offset
+        monkeypatch.setattr(bel, "_WORKERS", 8)
+        monkeypatch.setattr(bel, "DEFAULT_BATCH", 12)
+        calls = []
+
+        def block(start, count):
+            calls.append((start, count))
+            rows = np.arange(start, start + count, dtype=float)[:, None]
+            return rows, rows**2
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            (first, _), (second, _) = _mc_mean(1001, block)
+        finally:
+            sys.setswitchinterval(interval)
+        assert first[0] == 500.0 and second[0] == 333500.0
+        # slices of 2 paths, and of 1 in the last batch of 5
+        want = [(s, 2) for s in range(0, 996, 2)] + [(s, 1) for s in range(996, 1001)]
+        assert sorted(calls) == want
 
     def test_slices_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(bel, "_WORKERS", 3)
