@@ -17,7 +17,6 @@ from .frac_core import (
     frac_deriv_left,
     frac_int_left,
     kernel_kh,
-    kh_inverse_ac,
     shuffle_check,
 )
 from .fbm import (

@@ -107,17 +107,22 @@ PAYOFF_NAMES = ("identity", "call", "put", "digital")
 def make_payoff(name: str, strike: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
     """Closed payoff registry: identity, call(K), put(K), digital(K).
 
-    The returned callable maps terminal values (any shape) elementwise;
-    multi-dimensional states are reduced by their first coordinate.
+    The returned callable maps terminal values elementwise; a 2-D (B, d)
+    block of states is reduced to its first coordinate, column 0.
     """
+
+    def first(x):
+        x = np.asarray(x, dtype=float)
+        return x[:, 0] if x.ndim == 2 else x
+
     if name == "identity":
-        return lambda x: np.asarray(x, dtype=float)
+        return first
     if name == "call":
-        return lambda x: np.maximum(np.asarray(x, dtype=float) - strike, 0.0)
+        return lambda x: np.maximum(first(x) - strike, 0.0)
     if name == "put":
-        return lambda x: np.maximum(strike - np.asarray(x, dtype=float), 0.0)
+        return lambda x: np.maximum(strike - first(x), 0.0)
     if name == "digital":
-        return lambda x: (np.asarray(x, dtype=float) > strike).astype(float)
+        return lambda x: (first(x) > strike).astype(float)
     raise ValueError(f"unknown payoff {name!r}; choose from {PAYOFF_NAMES}")
 
 
@@ -145,8 +150,8 @@ def config_digest(*parts, unlabeled: bool = False) -> str:
     return "unlabeled-" + digest if unlabeled else digest
 
 
-def _mc_mean(n_paths: int, block):
-    """(mean, stderr) of each per-path quantity, computed slice by slice.
+def _per_path(n_paths: int, block) -> list[np.ndarray]:
+    """Each per-path quantity of paths 0 .. n_paths-1, as one (n_paths, d_i) array.
 
     ``block(start, count)`` returns one (count, d_i) array per quantity for
     paths start .. start+count-1.  Each batch of at most DEFAULT_BATCH paths
@@ -154,19 +159,16 @@ def _mc_mean(n_paths: int, block):
     thread and _WORKERS - 1 worker threads take the slices of all batches in
     path order from one queue, one at a time each, so at most one batch's
     worth of paths is in flight and no slice waits for the rest of its batch.
-    Each slice's rows land at their own offsets, and each quantity is reduced
-    over all paths at once, so neither the batch size nor the worker count
-    can change the result.  Once a slice raises, no new slice starts; the
-    running ones finish, and the error of the first failing slice in path
-    order propagates.  One worker starts no thread.
+    Each slice's rows land at their own offsets, so neither the batch size
+    nor the worker count can change a bit.  Once a slice raises, no new slice
+    starts; the running ones finish, and the error of the first failing slice
+    in path order propagates.  One worker starts no thread.
 
     The slices share one _CONV_ROWS budget of FFT rows, so the scratch in
     flight does not grow with the core count.  Every thread runs in its own
     copy of the caller's context, so np.errstate reaches the worker threads
     too; block runs on several threads at once and must be thread-safe.
     """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
     rows = max(1, _CONV_ROWS // _WORKERS)
 
     def slices():  # (start, count) in path order
@@ -207,7 +209,14 @@ def _mc_mean(n_paths: int, block):
             thread.join()
     if errors:
         raise errors[min(errors)]
-    return [_mean_stderr(whole) for whole in samples]
+    return samples
+
+
+def _mc_mean(n_paths: int, block):
+    """(mean, stderr) of each quantity of _per_path(n_paths, block), over all paths at once."""
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths")
+    return [_mean_stderr(whole) for whole in _per_path(n_paths, block)]
 
 
 def _payoff_at(payoff, xt: np.ndarray):

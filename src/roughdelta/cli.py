@@ -43,9 +43,10 @@ from .sde import (
     ZeroDrift,
     default_epsilon,
     mollify,
+    solve_batch,
 )
-from . import bel
-from .bel import PAYOFF_NAMES, _bel_block, _mc_mean, _payoff_at, _weighted, make_payoff
+from .bel import PAYOFF_NAMES, _bel_block, _dual_batch, _mc_mean, _mean_stderr, _payoff_at
+from .bel import _per_path, _replayable, _weighted, make_payoff
 from .rough_vol import RVConfig, VolMap, sbel_delta
 from .girsanov import girsanov_xi_batch
 from .fd import _central, gaussian_digital_delta
@@ -295,8 +296,9 @@ def _run_delta_rv(cfg: RunConfig, grid: GridSpec, h: HurstParam) -> int:
 def _validate_rows(cfg: RunConfig):
     """Desk-scale property suite; every row carries a target and tolerance.
 
-    The two gaussian_delta rows come from one _mc_mean pass that shares each
-    batch's draw, solve and weight between them (see the comment there).
+    Every sampled row runs on bel._per_path's worker slices: volterra_var,
+    and girsanov_mean with both gaussian_delta rows in one pass that draws
+    each path once (see the comment there).
     """
     rows = []
     h = HurstParam(0.1)
@@ -307,15 +309,13 @@ def _validate_rows(cfg: RunConfig):
     dev = covariance_report(vals[:, 1:], grid.times[1:], h).max_deviation_se
     rows.append(_row("cholesky_cov_max_dev", "se_units", dev, None, 4000, target=0.0, tol=5.0))
 
-    # Volterra sampler terminal variance against T^{2H}, drawn bel.DEFAULT_BATCH
-    # paths at a time; only the terminal values outlive their batch.
+    # Volterra sampler terminal variance against T^{2H}; only the terminal
+    # values outlive their slice.
     grid = GridSpec(1.0, 256)
-    ends = np.empty(8000)
-    batch = bel.DEFAULT_BATCH
-    for s in range(0, 8000, batch):
-        count = min(batch, 8000 - s)
-        ends[s : s + count] = sample_joint_batch(grid, h, 1, cfg.seed, s, count)[1][:, -1, 0]
-    v = float(np.var(ends, ddof=1))
+    (ends,) = _per_path(
+        8000, lambda s, c: (sample_joint_batch(grid, h, 1, cfg.seed, s, c)[1][:, -1],)
+    )
+    v = float(np.var(ends[:, 0], ddof=1))
     rows.append(_row("volterra_var", "T", v, None, 8000, target=1.0, tol=0.05))
 
     # Kernel reproduces the covariance: int_0^s K(t,u)K(s,u)du = R(t,s).
@@ -342,29 +342,35 @@ def _validate_rows(cfg: RunConfig):
     lhs, rhs = shuffle_check(f1, f2, 0.0, 1.0)
     rows.append(_row("shuffle_identity", "(s,1)", lhs - rhs, None, 0, target=0.0, tol=1e-8))
 
-    # Girsanov density has unit mean for a bounded drift.
-    grid = GridSpec(1.0, 128)
-    dW, bh = sample_joint_batch(grid, h, 1, cfg.seed, 0, 8000)
-    drift = RegimeSwitchDrift(0.5, -0.5)
-    xi = np.exp(girsanov_xi_batch(h, drift, bh[:, :, 0], dW[:, :, 0], grid, 0.0))
-    se = float(np.std(xi, ddof=1) / math.sqrt(len(xi)))
-    rows.append(_row("girsanov_mean", "xi", float(np.mean(xi)), se, 8000, target=1.0, tol=5 * se))
-
-    # Zero-drift Gaussian deltas: identity payoff from x0 = 0, digital from
-    # x0 = 0.1.  Both rows share each batch's draw, one solve from both starts
+    # One pass over paths 0 .. 19999 of the N = 128 stream, each slice drawn
+    # once.  The Girsanov density has unit mean for a bounded drift: xi of
+    # paths 0 .. 7999 is formed from the slice's (dW, bh) before the weight's
+    # dual is written over dW.  Zero-drift Gaussian deltas: identity payoff
+    # from x0 = 0, digital from x0 = 0.1, sharing one solve from both starts
     # and one weight.  Sharing pi is exact: ZeroDrift.derivative is 0, so every
     # start's flow is 1.0 bit for bit, and each row has the bits of its own
     # estimate_delta call.
     grid = GridSpec(1.0, 128)
+    bounded = RegimeSwitchDrift(0.5, -0.5)
     zero = mollify(ZeroDrift(), default_epsilon(grid, h))
     identity, digital = make_payoff("identity"), make_payoff("digital", 0.3)
+    starts = np.array([[0.0], [0.1]])
 
     def block(start, count):
-        pi, ends = _bel_block(zero, np.array([[0.0], [0.1]]), h, grid, cfg.seed, start, count)
-        return _weighted(identity, ends[0], pi), _weighted(digital, ends[1], pi)
+        dW, bh = sample_joint_batch(grid, h, 1, cfg.seed, start, count)
+        m = max(0, min(count, 8000 - start))  # rows of the paths below 8000
+        xi = np.full((count, 1), np.nan)  # the other rows carry no xi
+        with _replayable(cfg.seed, start):
+            xi[:m, 0] = np.exp(girsanov_xi_batch(h, bounded, bh[:m, :, 0], dW[:m, :, 0], grid, 0.0))
+            ends, pi = solve_batch(zero, starts, bh, grid, dual=_dual_batch(h, dW, grid))
+        return _weighted(identity, ends[0], pi), _weighted(digital, ends[1], pi), xi
 
+    *deltas, xi = _per_path(20000, block)
+    xi = xi[:8000, 0]
+    se = float(np.std(xi, ddof=1) / math.sqrt(len(xi)))
+    rows.append(_row("girsanov_mean", "xi", float(np.mean(xi)), se, 8000, target=1.0, tol=5 * se))
     targets = {"identity": 1.0, "digital": gaussian_digital_delta(0.1, 0.3, 1.0, h)}
-    for (name, target), (mean, se) in zip(targets.items(), _mc_mean(20000, block)):
+    for (name, target), (mean, se) in zip(targets.items(), map(_mean_stderr, deltas)):
         rows.append(
             _row("gaussian_delta", name, mean[0], se[0], 20000, target=target, tol=5 * se[0])
         )

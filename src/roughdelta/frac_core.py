@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -34,7 +33,6 @@ __all__ = [
     "kernel_kh",
     "frac_int_left",
     "frac_deriv_left",
-    "kh_inverse_ac",
     "shuffle_check",
 ]
 
@@ -89,11 +87,6 @@ class SampledFunction:
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> "SampledFunction":
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid, np.asarray(f(grid), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -307,18 +300,6 @@ def _kh_inverse_rows(h: HurstParam, grid: np.ndarray, rows: np.ndarray) -> np.nd
     left = np.append(0.0, grid[1:] ** (hv - 0.5) / (c_h(h) * math.gamma(hv + 0.5)))
     right = np.append(0.0, grid[1:] ** (0.5 - hv))
     return left * _lag_conv(rows, right, *_int_cells(0.5 - hv, dx, grid.size))
-
-
-def kh_inverse_ac(h: HurstParam, phi_prime: SampledFunction) -> SampledFunction:
-    """Inverse kernel transform for absolutely continuous inputs, on a uniform grid.
-
-    Computes s -> s^{H-1/2} (I^{1/2-H}_{0+} g)(s) / (c_H Gamma(H + 1/2)) with
-    g(s) = s^{1/2-H} phi'(s), where phi' is the sampled derivative of the
-    transformed function.  The value at s = 0 is set to 0, the limiting value
-    for bounded phi'.  It is the batch of one of the transform Girsanov uses.
-    """
-    grid = phi_prime.grid
-    return SampledFunction(grid, _kh_inverse_rows(h, grid, phi_prime.values[None, :])[0])
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughdelta import bel
-from roughdelta.bel import _bel_block, _dual_batch, estimate_delta, make_payoff
+from roughdelta.bel import PAYOFF_NAMES, _bel_block, _dual_batch, estimate_delta, make_payoff
 from roughdelta.fbm import GridSpec, sample_joint_batch
-from roughdelta.fd import fd_delta, sde_payoff_runner
+from roughdelta.fd import fd_delta, gaussian_digital_delta, sde_payoff_runner
 from roughdelta.frac_core import _CONV_ROWS, HurstParam, _causal_conv, _conv_rows, big_c_h
 from roughdelta.sde import (
     RegimeSwitchDrift,
@@ -154,6 +154,21 @@ class TestPayoffRegistry:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_payoff("lookback")
+
+    def test_block_of_states_reads_first_coordinate(self):
+        x = np.array([-1.0, 0.5, 2.0])
+        block = np.stack([x, 10.0 - x], axis=1)
+        for name in PAYOFF_NAMES:
+            assert make_payoff(name, 1.0)(block).tobytes() == make_payoff(name, 1.0)(x).tobytes()
+
+    def test_two_dimensional_delta(self):
+        # coordinate 1 is a chain independent of coordinate 0, which the
+        # payoff reads alone, so its delta is 0
+        grid = GridSpec(1.0, 64)
+        est = estimate_delta(_ZERO, [0.1, 0.2], make_payoff("digital", 0.2), H01, grid, 4000, 1)
+        assert est.mean.shape == (2,)
+        assert abs(est.mean[1]) <= 4 * est.stderr[1]
+        assert abs(est.mean[0] - gaussian_digital_delta(0.1, 0.2, 1.0, H01)) <= 4 * est.stderr[0]
 
 
 class TestWeightProfile:

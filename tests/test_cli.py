@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from roughdelta import bel as bel_module, cli
 from roughdelta.bel import _bel_block, _weighted, estimate_delta, make_payoff
-from roughdelta.fbm import GridSpec
+from roughdelta.fbm import GridSpec, sample_joint_batch
 from roughdelta.fd import _central_diffs, fd_delta, sde_payoff_runner
 from roughdelta.frac_core import HurstParam
+from roughdelta.girsanov import girsanov_xi_batch
 from roughdelta.sde import mollify
 from roughdelta.cli import (
     RunConfig,
@@ -132,7 +133,7 @@ def _read_rows(path):
 
 
 def _count_draws(monkeypatch):
-    """List that records each draw of a delta batch (bel._bel_block's sampler call)."""
+    """List that records each joint draw, by bel (a delta batch) or by cli (a validate slice)."""
     sample = bel_module.sample_joint_batch
     calls = []
 
@@ -140,8 +141,14 @@ def _count_draws(monkeypatch):
         calls.append(args)
         return sample(*args, **kwargs)
 
-    monkeypatch.setattr(bel_module, "sample_joint_batch", counting)
+    for module in (bel_module, cli):
+        monkeypatch.setattr(module, "sample_joint_batch", counting)
     return calls
+
+
+def _on_grid(calls, n_steps):
+    """The recorded draws on a grid of n_steps steps."""
+    return [args for args in calls if args[0].n_steps == n_steps]
 
 
 def _assert_each_path_drawn_once(calls, n_paths, batch):
@@ -232,12 +239,16 @@ class TestModes:
         assert "FAIL" not in capsys.readouterr().out
 
     def test_validate_gaussian_rows_share_one_pass(self, tmp_path, monkeypatch):
-        # both gaussian_delta rows come from one draw, solve and weight per
-        # batch, and each keeps the bits of its own estimate_delta call
+        # both gaussian_delta rows and girsanov_mean come from one draw of
+        # each N = 128 path, the gaussian_delta rows from one solve and
+        # weight per batch, and each keeps the bits of its own estimate_delta
+        # call; volterra_var draws each N = 256 path once
         calls = _count_draws(monkeypatch)
         out = tmp_path / "v.csv"
         run(RunConfig(mode="validate", seed=7, out=str(out)))
-        _assert_each_path_drawn_once(calls, 20000, bel_module.DEFAULT_BATCH)
+        _assert_each_path_drawn_once(_on_grid(calls, 128), 20000, bel_module.DEFAULT_BATCH)
+        _assert_each_path_drawn_once(_on_grid(calls, 256), 8000, bel_module.DEFAULT_BATCH)
+        assert len(calls) == len(_on_grid(calls, 128)) + len(_on_grid(calls, 256))
         rows = {r["component"]: r for r in _read_rows(out) if r["quantity"] == "gaussian_delta"}
 
         h = HurstParam(0.1)
@@ -251,6 +262,33 @@ class TestModes:
             assert float(rows[name]["estimate"]) == est.mean[0]
             assert float(rows[name]["stderr"]) == est.stderr[0]
             assert rows[name]["n_paths"] == "20000"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [None, 300], ids=["default", "300"])
+    def test_validate_sampled_rows_match_serial_oracles(self, monkeypatch, workers, batch):
+        # volterra_var and girsanov_mean keep the bits of the serial
+        # computations the slices replaced, at either worker count and with
+        # a slice of the N = 128 pass straddling path 8000, where xi stops
+        monkeypatch.setattr(bel_module, "_WORKERS", workers)
+        if batch is not None:
+            monkeypatch.setattr(bel_module, "DEFAULT_BATCH", batch)
+        calls = _count_draws(monkeypatch)
+        rows = {r[0]: r for r in cli._validate_rows(RunConfig(mode="validate", seed=7))}
+        assert any(a[4] < 8000 < a[4] + a[5] for a in _on_grid(calls, 128))
+
+        h = HurstParam(0.1)
+        grid, ends, step = GridSpec(1.0, 256), np.empty(8000), bel_module.DEFAULT_BATCH
+        for s in range(0, 8000, step):
+            count = min(step, 8000 - s)
+            ends[s : s + count] = sample_joint_batch(grid, h, 1, 7, s, count)[1][:, -1, 0]
+        assert rows["volterra_var"][2] == repr(float(np.var(ends, ddof=1)))
+
+        grid = GridSpec(1.0, 128)
+        dW, bh = sample_joint_batch(grid, h, 1, 7, 0, 8000)
+        drift = RegimeSwitchDrift(0.5, -0.5)
+        xi = np.exp(girsanov_xi_batch(h, drift, bh[:, :, 0], dW[:, :, 0], grid, 0.0))
+        se = float(np.std(xi, ddof=1) / math.sqrt(len(xi)))
+        assert rows["girsanov_mean"][2:4] == (repr(float(np.mean(xi))), repr(se))
 
     def test_resolved_config_round_trips(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -410,9 +410,10 @@ class TestVolterraSampler:
         corr = np.corrcoef(bh[:, -1, 0], bh[:, -1, 1])[0, 1]
         assert abs(corr) < 0.06
 
-    def test_weights_l2_match_variance(self):
+    @pytest.mark.parametrize("horizon", [1.0, 2.0])
+    def test_weights_l2_match_variance(self, horizon):
         # sum of squared implied weights for B(t_k) must equal t_k^{2H} closely
-        grid = GridSpec(1.0, 512)
+        grid = GridSpec(horizon, 512)
         for h in (HurstParam(0.05), HurstParam(0.1)):
             w = _implied_weights(grid, h)
             var = np.sum(w[1:] ** 2, axis=1) * grid.dt
@@ -433,19 +434,24 @@ class TestVolterraSampler:
     def test_matches_dense_oracle(self, n, hv):
         # tolerances fixed before the split sampler was written: its corrected
         # cells are the dense values to rounding, every other cell is close in
-        # L2, and the variance and covariance errors stay at the dense level
-        grid = GridSpec(1.0, n)
+        # L2, and the variance and covariance errors stay at the dense level.
+        # The corrected cells and the terminal variance are checked at T = 2
+        # too, against the dense oracle at T and T^{2H}; the loop ends at
+        # T = 1, whose weights the rest of the test checks.
         h = HurstParam(hv)
-        w = _implied_weights(grid, h)
-        ref = _dense_volterra_weights(hv, n, 1.0)
-        assert w[0].tobytes() == np.zeros(n).tobytes()
         k = np.arange(1, n + 1)
-        np.testing.assert_allclose(w[k, k - 1], ref[k, k - 1], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(w[1:, 0], ref[1:, 0], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(w[2:, 1], ref[2:, 1], rtol=1e-12, atol=0)
+        for horizon in (2.0, 1.0):
+            grid = GridSpec(horizon, n)
+            w = _implied_weights(grid, h)
+            ref = _dense_volterra_weights(hv, n, horizon)
+            np.testing.assert_allclose(w[k, k - 1], ref[k, k - 1], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(w[1:, 0], ref[1:, 0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(w[2:, 1], ref[2:, 1], rtol=1e-12, atol=0)
+            var_n = grid.dt * np.sum(w[n] ** 2)
+            assert abs(var_n - horizon ** (2 * hv)) <= 2e-3 * horizon ** (2 * hv)
+        assert w[0].tobytes() == np.zeros(n).tobytes()
         rel_l2 = np.linalg.norm(w[1:] - ref[1:], axis=1) / np.linalg.norm(ref[1:], axis=1)
         assert rel_l2.max() <= 1e-2
-        assert abs(grid.dt * np.sum(w[n] ** 2) - grid.horizon ** (2 * hv)) <= 2e-3
         t = grid.times[1:]
         target = 0.5 * (t[:, None] ** (2 * hv) + t ** (2 * hv) - np.abs(t[:, None] - t) ** (2 * hv))
         cov_err = lambda m: np.max(np.abs(grid.dt * m[1:] @ m[1:].T - target))

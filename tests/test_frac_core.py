@@ -18,7 +18,6 @@ from roughdelta.frac_core import (
     frac_deriv_left,
     frac_int_left,
     kernel_kh,
-    kh_inverse_ac,
     shuffle_check,
     _kh_inverse_rows,
 )
@@ -264,11 +263,6 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             SampledFunction(np.array([]), np.array([]))
 
-    def test_from_callable(self):
-        g = np.linspace(0, 1, 5)
-        f = SampledFunction.from_callable(np.sin, g)
-        np.testing.assert_allclose(f.values, np.sin(g))
-
 
 class TestFracIntegral:
     def test_constant_closed_form(self):
@@ -377,12 +371,12 @@ class TestKhInverse:
         h = 0.1
         hp = HurstParam(h)
         x = np.linspace(0.0, 1.0, 513)
-        out = kh_inverse_ac(hp, SampledFunction(x, np.ones_like(x)))
+        out = _kh_inverse_rows(hp, x, np.ones((1, x.size)))[0]
         const = math.gamma(1.5 - h) / math.gamma(2 - 2 * h)
         const /= c_h(hp) * math.gamma(h + 0.5)
         ref = const * x ** (0.5 - h)
         # product integration loses accuracy near the s^{1/2-H} cusp at 0
-        err = np.abs(out.values - ref)
+        err = np.abs(out - ref)
         assert np.max(err[x >= 0.1]) < 1e-3
         assert err[-1] < 1e-4
 
@@ -405,22 +399,23 @@ class TestKhInverse:
     @pytest.mark.parametrize("hv", (0.25, 0.1, 0.001))  # orders 1/2 - H of ORACLE_ALPHAS
     def test_matches_dense_oracle(self, n, hv):
         f = _oracle_input(n)
-        out = kh_inverse_ac(HurstParam(hv), f)
-        assert_matches_dense(out.values, kh_inverse_matrix(HurstParam(hv), f.grid) @ f.values)
+        out = _kh_inverse_rows(HurstParam(hv), f.grid, f.values[None, :])[0]
+        assert_matches_dense(out, kh_inverse_matrix(HurstParam(hv), f.grid) @ f.values)
 
     def test_is_row_of_batch_transform(self):
-        # the single-function transform is a batch of one, bit for bit,
-        # wherever its row sits in the batch
+        # a batch of one has the bits of its row in a batch, wherever the
+        # row sits in the batch
         x = np.linspace(0.0, 1.0, 129)
         rows = np.random.default_rng(3).normal(size=(300, x.size))
         batch = _kh_inverse_rows(H01, x, rows)
         for r in (0, 1, 299):
-            one = kh_inverse_ac(H01, SampledFunction(x, rows[r]))
-            assert one.values.tobytes() == batch[r].tobytes()
+            one = _kh_inverse_rows(H01, x, rows[r][None, :])
+            assert one.shape == (1, x.size)
+            assert one[0].tobytes() == batch[r].tobytes()
 
     def test_rejects_non_uniform_grid(self):
         with pytest.raises(ValueError, match="uniform grid"):
-            kh_inverse_ac(H01, SampledFunction(NON_UNIFORM, np.ones_like(NON_UNIFORM)))
+            _kh_inverse_rows(H01, NON_UNIFORM, np.ones((1, NON_UNIFORM.size)))
 
 
 class TestShuffle:
