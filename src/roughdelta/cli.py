@@ -361,7 +361,9 @@ def _validate_rows(cfg: RunConfig):
         m = max(0, min(count, 8000 - start))  # rows of the paths below 8000
         xi = np.full((count, 1), np.nan)  # the other rows carry no xi
         with _replayable(cfg.seed, start):
-            xi[:m, 0] = np.exp(girsanov_xi_batch(h, bounded, bh[:m, :, 0], dW[:m, :, 0], grid, 0.0))
+            if m:
+                log_xi = girsanov_xi_batch(h, bounded, bh[:m, :, 0], dW[:m, :, 0], grid, 0.0)
+                xi[:m, 0] = np.exp(log_xi)
             ends, pi = solve_batch(zero, starts, bh, grid, dual=_dual_batch(h, dW, grid))
         return _weighted(identity, ends[0], pi), _weighted(digital, ends[1], pi), xi
 

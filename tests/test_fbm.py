@@ -435,12 +435,12 @@ class TestVolterraSampler:
         # tolerances fixed before the split sampler was written: its corrected
         # cells are the dense values to rounding, every other cell is close in
         # L2, and the variance and covariance errors stay at the dense level.
-        # The corrected cells and the terminal variance are checked at T = 2
-        # too, against the dense oracle at T and T^{2H}; the loop ends at
-        # T = 1, whose weights the rest of the test checks.
+        # The corrected cells and the terminal variance are checked at T = 1
+        # and T = 2, against the dense oracle at T and T^{2H}; the rest of the
+        # test checks the T = 1 weights.
         h = HurstParam(hv)
         k = np.arange(1, n + 1)
-        for horizon in (2.0, 1.0):
+        for horizon in (1.0, 2.0):
             grid = GridSpec(horizon, n)
             w = _implied_weights(grid, h)
             ref = _dense_volterra_weights(hv, n, horizon)
@@ -449,6 +449,9 @@ class TestVolterraSampler:
             np.testing.assert_allclose(w[2:, 1], ref[2:, 1], rtol=1e-12, atol=0)
             var_n = grid.dt * np.sum(w[n] ** 2)
             assert abs(var_n - horizon ** (2 * hv)) <= 2e-3 * horizon ** (2 * hv)
+        grid = GridSpec(1.0, n)
+        w = _implied_weights(grid, h)
+        ref = _dense_volterra_weights(hv, n, 1.0)
         assert w[0].tobytes() == np.zeros(n).tobytes()
         rel_l2 = np.linalg.norm(w[1:] - ref[1:], axis=1) / np.linalg.norm(ref[1:], axis=1)
         assert rel_l2.max() <= 1e-2

@@ -1,6 +1,6 @@
 """Apply one named mutant of src/ to a temporary copy and run pytest on it.
 
-    python tools/mutate.py --list
+    python tools/mutate.py
     python tools/mutate.py validate-var-penultimate tests/test_cli.py -k validate
 
 The mutants are the records of tools/mutants.json: a name, a file, an old
@@ -47,12 +47,11 @@ def _run(mutant: dict, selection: list[str]) -> int:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--list", action="store_true", help="list the mutants and whether each applies")
-    p.add_argument("name", nargs="?", help="the mutant to run")
+    p.add_argument("name", nargs="?", help="the mutant to run (none: list the mutants)")
     p.add_argument("selection", nargs=argparse.REMAINDER, help="pytest arguments (default: tests)")
     args = p.parse_args(argv)
     mutants = {m["name"]: m for m in json.loads(MUTANTS.read_text())}
-    if args.list or args.name is None:
+    if args.name is None:
         for m in mutants.values():
             state = "applies" if _count(ROOT, m) == 1 else "STALE"
             print(f"{m['name']:30s} {state:8s} {m['file']}: {m['breaks']}")
